@@ -11,7 +11,7 @@ import numpy as np
 import yaml
 
 from dtxalign.config import CONFIG_FIELD_NAMES, STRATEGIES, SimConfig
-from dtxalign.engine import AlgoTraceStep, run_drop, run_experiment
+from dtxalign.engine import AlgoTraceStep, run_experiment
 from dtxalign.output import write_algo_trace, write_sweep, write_trace
 from dtxalign.strategies import ScoreState, memory_update
 
@@ -101,10 +101,9 @@ def cmd_run(args) -> None:
     chash = config.config_hash()
     write_sweep(summaries, args.out, chash)
     write_trace(summaries, args.out, chash)
-    if config.strategy == "memory":
-        result = run_drop(config, np.random.SeedSequence(config.seed).spawn(1)[0])
-        write_algo_trace(result.algo_trace, args.out, chash)
     s = summaries[0]
+    if config.strategy == "memory":
+        write_algo_trace(s.algo_trace, args.out, chash)
     print(f"strategy={s.strategy} rate={s.rate_mbps:g} Mbps "
           f"mean_power={s.mean_power_w:.6g} W retx={s.retransmission_prob:.6g}")
 

@@ -9,9 +9,9 @@ import numpy as np
 from dtxalign.channel import build_link_gains, compute_sinr, noise_power
 from dtxalign.config import SimConfig
 from dtxalign.geometry import build_hex_layout, drop_mobiles
-from dtxalign.power import PowerBreakdown, PowerParams, total_power
+from dtxalign.power import PowerBreakdown, total_power
 from dtxalign.scheduler import ScheduleMap, allocate_from_bits, rb_bits
-from dtxalign.strategies import make_strategy, slot_sum_capacity
+from dtxalign.strategies import make_strategy
 
 # Relative slack when comparing realized to scheduled RB rates; absorbs
 # float noise only, any real SINR drop dwarfs it.
@@ -57,6 +57,7 @@ class RunSummary:
     retransmission_prob: float
     outage_rate: float
     convergence_frame: int         # 1% band
+    algo_trace: list               # AlgoTraceSteps of the first drop
 
 
 def convergence_frame(trace: np.ndarray, rel_tol: float) -> int:
@@ -80,44 +81,16 @@ def retransmission_probability(frames: list) -> float:
     return float(flags.mean())
 
 
-def _full_power_frame(config: SimConfig, sinr: np.ndarray, params: PowerParams,
-                      targets: np.ndarray) -> FrameMetrics:
-    """Worst-case start: every cell transmits on every RB."""
-    n_cells = sinr.shape[0]
-    n_sub, n_slots, k_mob = sinr.shape[1:]
-    # any all-nonzero assignment works; round-robin over mobiles
-    n_grid, t_grid = np.meshgrid(np.arange(n_sub), np.arange(n_slots), indexing="ij")
-    pi = (n_grid + t_grid) % k_mob + 1
-    center = 0  # center cell index by construction
-    cell_power = np.empty(n_cells)
-    center_breakdown = None
-    scheduled = delivered = None
-    for c in range(n_cells):
-        bits = rb_bits(sinr[c][n_grid, t_grid, pi - 1],
-                       config.subcarrier_bw_hz, config.slot_duration_s)
-        sched = ScheduleMap(pi=pi, bits=bits,
-                            infeasible=np.zeros(k_mob, dtype=bool))
-        pb = total_power(sched, params, n_slots)
-        cell_power[c] = pb.total_w
-        if c == center:
-            center_breakdown = pb
-            scheduled = sched.scheduled_bits_per_mobile(k_mob)
-            delivered = scheduled.copy()   # bits set at realized SINR
-    retx = delivered < targets * (1.0 - DELIVERY_RTOL)
-    return FrameMetrics(frame=0, cell_power_w=cell_power,
-                        center_power=center_breakdown,
-                        scheduled_bits=scheduled, delivered_bits=delivered,
-                        retransmission=retx,
-                        infeasible=np.zeros(k_mob, dtype=bool))
-
-
 def run_drop(config: SimConfig, drop_seed) -> DropResult:
     """Simulate one Monte-Carlo drop.
 
-    Frame 0 transmits everywhere at full power; each later frame ranks
-    slots from the previous frame's reported SINR, schedules, applies all
-    cells' schedules simultaneously and accounts delivered bits against
-    the realized SINR.
+    Every frame applies all cells' schedules simultaneously, prices each
+    cell once and accounts the center cell's delivered bits against the
+    realized SINR.  Frames differ only in where the schedules come from:
+    frame 0 is the worst-case start, every cell transmitting on every RB
+    (round-robin over mobiles) at the rates the all-on SINR supports;
+    each later frame ranks slots from the previous frame's SINR and
+    schedules against the per-mobile targets.
     """
     config.validate()
     seq = drop_seed if isinstance(drop_seed, np.random.SeedSequence) \
@@ -136,8 +109,6 @@ def run_drop(config: SimConfig, drop_seed) -> DropResult:
     gains = build_link_gains(layout, drop, rng_chan, config.subcarriers,
                              config.shadowing_std_db)
     n0 = noise_power(config.subcarrier_bw_hz, config.noise_temp_k)
-    params = PowerParams(config.p_sleep_w, config.p_idle_w,
-                         config.load_factor, config.p_rb_w)
     strategies = [make_strategy(config.strategy, config.slots, strat_rngs[c],
                                 p=config.p_persist, psi_ul=config.psi_ul,
                                 psi_ll=config.psi_ll)
@@ -149,26 +120,40 @@ def run_drop(config: SimConfig, drop_seed) -> DropResult:
 
     active = np.ones((n_cells, config.subcarriers, config.slots), dtype=bool)
     sinr = compute_sinr(gains, active, config.p_rb_w, n0)
-    frames = [_full_power_frame(config, sinr, params, targets)]
+    # frame 0: any all-nonzero assignment works; round-robin over mobiles
+    n_grid, t_grid = np.meshgrid(np.arange(config.subcarriers),
+                                 np.arange(config.slots), indexing="ij")
+    pi = (n_grid + t_grid) % k_mob + 1
+    schedules = [ScheduleMap(pi=pi,
+                             bits=rb_bits(sinr[c][n_grid, t_grid, pi - 1],
+                                          config.subcarrier_bw_hz,
+                                          config.slot_duration_s),
+                             infeasible=np.zeros(k_mob, dtype=bool))
+                 for c in range(n_cells)]
+    frames = []
     algo_trace = []
-    prev_sinr = sinr
 
-    for f in range(1, config.frames):
-        schedules = []
-        for c in range(n_cells):
-            caps = np.log2(1.0 + prev_sinr[c])           # (N, T, K)
-            b = caps.sum(axis=(0, 2))                    # slot sum capacity
-            priority = strategies[c].next_priority(b)
-            sched = allocate_from_bits(priority, rate_scale * caps, targets)
-            schedules.append(sched)
-            active[c] = sched.pi > 0
-        sinr = compute_sinr(gains, active, config.p_rb_w, n0)
+    for f in range(config.frames):
+        if f > 0:
+            schedules = []
+            for c in range(n_cells):
+                caps = np.log2(1.0 + sinr[c])                # (N, T, K)
+                b = caps.sum(axis=(0, 2))                    # slot sum capacity
+                priority = strategies[c].next_priority(b)
+                sched = allocate_from_bits(priority, rate_scale * caps, targets)
+                schedules.append(sched)
+                active[c] = sched.pi > 0
+            sinr = compute_sinr(gains, active, config.p_rb_w, n0)
+            if config.strategy == "memory":
+                strat = strategies[center]
+                algo_trace.append(AlgoTraceStep(
+                    frame=f, psi=tuple(int(x) for x in strat.state.psi),
+                    ranking=strat.last_ranking, priority=strat.last_priority))
 
-        cell_power = np.empty(n_cells)
+        powers = []
         for c in range(n_cells):
-            sched = schedules[c]
-            cell_power[c] = total_power(sched, params, config.slots).total_w
-            strategies[c].record_used(sched.slot_used)
+            powers.append(total_power(schedules[c], config))
+            strategies[c].record_used(schedules[c].slot_used)
         sched = schedules[center]
         mask = sched.pi > 0
         owners = sched.pi[mask] - 1
@@ -181,16 +166,10 @@ def run_drop(config: SimConfig, drop_seed) -> DropResult:
         scheduled = sched.scheduled_bits_per_mobile(k_mob)
         retx = delivered < targets * (1.0 - DELIVERY_RTOL)
         frames.append(FrameMetrics(
-            frame=f, cell_power_w=cell_power,
-            center_power=total_power(sched, params, config.slots),
+            frame=f, cell_power_w=np.array([pb.total_w for pb in powers]),
+            center_power=powers[center],
             scheduled_bits=scheduled, delivered_bits=delivered,
             retransmission=retx, infeasible=sched.infeasible.copy()))
-        if config.strategy == "memory":
-            strat = strategies[center]
-            algo_trace.append(AlgoTraceStep(
-                frame=f, psi=tuple(int(x) for x in strat.state.psi),
-                ranking=strat.last_ranking, priority=strat.last_priority))
-        prev_sinr = sinr
     return DropResult(frames=frames, algo_trace=algo_trace)
 
 
@@ -202,8 +181,6 @@ def run_experiment(config: SimConfig, rate_sweep) -> list:
     are reused across rates to reduce sweep noise.
     """
     config.validate()
-    if config.drops < 1:
-        raise ValueError("drops must be >= 1")
     drop_seeds = np.random.SeedSequence(config.seed).spawn(config.drops)
     summaries = []
     for rate in rate_sweep:
@@ -213,6 +190,8 @@ def run_experiment(config: SimConfig, rate_sweep) -> list:
         outage = []
         for d, ds in enumerate(drop_seeds):
             result = run_drop(cfg, ds)
+            if d == 0:
+                algo_trace = result.algo_trace
             traces[d] = [fm.cell_power_w[0] for fm in result.frames]
             steady = result.frames[config.warmup_frames:]
             retx.append(retransmission_probability(steady))
@@ -228,5 +207,6 @@ def run_experiment(config: SimConfig, rate_sweep) -> list:
             retransmission_prob=float(np.mean(retx)),
             outage_rate=float(np.mean(outage)),
             convergence_frame=convergence_frame(mean_trace, 0.01),
+            algo_trace=algo_trace,
         ))
     return summaries

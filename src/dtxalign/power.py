@@ -4,22 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from dtxalign.config import SimConfig
 from dtxalign.scheduler import ScheduleMap
-
-
-@dataclass(frozen=True)
-class PowerParams:
-    """Power model constants: 90 W sleep, 200 W idle, 3.75 x 0.8 W per RB."""
-
-    p_sleep_w: float = 90.0
-    p_idle_w: float = 200.0
-    load_factor: float = 3.75
-    p_rb_tx_w: float = 0.8
-
-    def __post_init__(self):
-        for name in ("p_sleep_w", "p_idle_w", "load_factor", "p_rb_tx_w"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -32,20 +18,21 @@ class PowerBreakdown:
     n_tx_avg: float       # scheduled RBs per slot, averaged over the frame
 
 
-def total_power(schedule: ScheduleMap, params: PowerParams,
-                n_slots: int) -> PowerBreakdown:
-    """Frame-average power of one cell.
+def total_power(schedule: ScheduleMap, config: SimConfig) -> PowerBreakdown:
+    """Frame-average power of one cell, priced with the config's
+    p_sleep_w, p_idle_w, load_factor and p_rb_w.
 
     Sleep power is charged per DTX slot, idle power per active slot, and
     the transmit term scales with the frame-average count of scheduled
     RBs (the reading consistent with the 350 W full-load and 90 W
     all-DTX anchors).
     """
+    n_slots = schedule.pi.shape[1]
     t_s = schedule.t_s
     n_tx_avg = schedule.num_scheduled_rbs / n_slots
-    sleep_part = params.p_sleep_w * t_s / n_slots
-    tx_part = params.load_factor * params.p_rb_tx_w * n_tx_avg
-    idle_part = params.p_idle_w * (n_slots - t_s) / n_slots
+    sleep_part = config.p_sleep_w * t_s / n_slots
+    tx_part = config.load_factor * config.p_rb_w * n_tx_avg
+    idle_part = config.p_idle_w * (n_slots - t_s) / n_slots
     return PowerBreakdown(
         total_w=sleep_part + tx_part + idle_part,
         sleep_part_w=sleep_part,

@@ -60,23 +60,18 @@ def rb_order(priority: tuple, n_subcarriers: int) -> tuple[np.ndarray, np.ndarra
     return n_idx, t_idx
 
 
-def allocate(priority: tuple, est_sinr: np.ndarray, targets: np.ndarray,
-             subcarrier_bw_hz: float, slot_duration_s: float) -> ScheduleMap:
-    """Greedy sequential fill of the RB grid.
-
-    Mobiles are served in ascending index order; each consumes RBs in the
-    priority order until its per-frame bit target is met.  RBs whose
-    estimated rate is zero for the current mobile are skipped and stay
-    available.  Mobiles whose target cannot be met are marked infeasible
-    (they keep everything they could grab).
-    """
-    est_bits = rb_bits(est_sinr, subcarrier_bw_hz, slot_duration_s)
-    return allocate_from_bits(priority, est_bits, targets)
-
-
 def allocate_from_bits(priority: tuple, est_bits: np.ndarray,
                        targets: np.ndarray) -> ScheduleMap:
-    """Same as allocate() but takes precomputed per-RB bit estimates."""
+    """Greedy sequential fill of the RB grid.
+
+    est_bits[n, t, k] is the rate RB (n, t) would carry for mobile k,
+    e.g. rb_bits of the estimated SINR.  Mobiles are served in ascending
+    index order; each consumes RBs in the priority order until its
+    per-frame bit target is met.  RBs whose estimated rate is zero for
+    the current mobile are skipped and stay available.  Mobiles whose
+    target cannot be met are marked infeasible (they keep everything
+    they could grab).
+    """
     n_sub, n_slots, k_mob = est_bits.shape
     targets = np.asarray(targets, dtype=float)
     n_idx, t_idx = rb_order(priority, n_sub)

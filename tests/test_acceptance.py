@@ -17,7 +17,7 @@ from dtxalign.cli import trace_algorithm_steps
 from dtxalign.config import STRATEGIES, SimConfig
 from dtxalign.engine import run_experiment
 from dtxalign.geometry import build_hex_layout, drop_mobiles
-from dtxalign.power import PowerParams, total_power
+from dtxalign.power import total_power
 from dtxalign.scheduler import ScheduleMap, allocate_from_bits
 from dtxalign.strategies import (ScoreState, memory_update,
                                  p_persistent_priority, random_priority,
@@ -67,12 +67,12 @@ def test_ac1_scoring_walkthrough_fidelity(capsys):
 
 def test_ac2_power_model_anchors():
     n, t, k = 50, 10, 10
-    params = PowerParams()
+    params = SimConfig()
 
     def power(pi):
         sched = ScheduleMap(pi=pi, bits=np.where(pi > 0, 1.0, 0.0),
                             infeasible=np.zeros(k, dtype=bool))
-        return total_power(sched, params, t).total_w
+        return total_power(sched, params).total_w
 
     full = power(np.ones((n, t), dtype=int))
     asleep = power(np.zeros((n, t), dtype=int))

@@ -1,11 +1,14 @@
 import os
 
+import numpy as np
 import pytest
 import yaml
 
+from dtxalign import cli, engine
 from dtxalign.cli import (CliError, main, parse_config, parse_rates,
                           parse_strategies, trace_algorithm_steps)
 from dtxalign.config import SimConfig
+from dtxalign.output import write_algo_trace
 
 SMALL_YAML = dict(tiers=1, mobiles_per_cell=3, subcarriers=8, slots=4,
                   frames=8, warmup_frames=3, drops=2)
@@ -101,6 +104,33 @@ def test_run_command_outputs(small_yaml, tmp_path, capsys):
     # frame 0 is the full-power frame: 200 + 3 * subcarriers
     first = trace[2].split(",")
     assert first[2] == "0" and float(first[3]) == pytest.approx(224.0)
+
+
+def test_run_simulates_each_drop_once(small_yaml, tmp_path, monkeypatch, capsys):
+    calls = []
+    run_drop = engine.run_drop
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return run_drop(*args, **kwargs)
+
+    # patch every name the drop simulator is reachable under
+    monkeypatch.setattr(engine, "run_drop", counting)
+    monkeypatch.setattr(cli, "run_drop", counting, raising=False)
+    out = str(tmp_path / "res")
+    assert main(["run", "--config", small_yaml, "--strategy", "memory",
+                 "--rate-mbps", "0.2", "--drops", "2", "--out", out]) == 0
+    capsys.readouterr()
+    assert len(calls) == 2
+    # the algorithm trace is drop 0 of the run's own drops
+    config = parse_config(small_yaml, {"strategy": "memory",
+                                       "target_rate_mbps": 0.2, "drops": 2})
+    first = run_drop(config, np.random.SeedSequence(config.seed).spawn(2)[0])
+    ref = str(tmp_path / "ref")
+    os.makedirs(ref)
+    write_algo_trace(first.algo_trace, ref, config.config_hash())
+    assert read_lines(os.path.join(out, "algorithm_trace.csv")) == \
+        read_lines(os.path.join(ref, "algorithm_trace.csv"))
 
 
 def test_run_no_algorithm_trace_for_sequential(small_yaml, tmp_path):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from dtxalign.config import SimConfig
+from dtxalign.config import STRATEGIES, SimConfig
 from dtxalign.engine import (FrameMetrics, convergence_frame,
                              retransmission_probability, run_drop,
                              run_experiment)
+from dtxalign.geometry import build_hex_layout
 from dtxalign.power import PowerBreakdown
 
 SMALL = dict(tiers=1, mobiles_per_cell=4, subcarriers=10, slots=5,
@@ -88,12 +89,28 @@ def test_algo_trace_only_for_memory():
 
 
 def test_scheduled_vs_delivered_accounting():
-    result = run_drop(small_config(strategy="random"), 11)
-    for fm in result.frames[1:]:
-        assert np.all(fm.delivered_bits <= fm.scheduled_bits + 1e-6)
-        # a mobile with delivered >= target is never flagged
-        met = fm.delivered_bits >= small_config().target_bits_per_frame
-        assert not np.any(met & fm.retransmission)
+    layout = build_hex_layout(small_config().tiers, small_config().isd_m)
+    center = layout.center_cell_index
+    for strat in STRATEGIES:
+        cfg = small_config(strategy=strat)
+        result = run_drop(cfg, 11)
+        for fm in result.frames:
+            # each cell is priced once; the center record is that pricing
+            assert fm.center_power.total_w == fm.cell_power_w[center]
+            assert np.all(fm.delivered_bits <= fm.scheduled_bits)
+            # a mobile with delivered >= target is never flagged
+            met = fm.delivered_bits >= cfg.target_bits_per_frame
+            assert not np.any(met & fm.retransmission)
+        # frame 0 transmits at the rates its own all-on SINR carries, so
+        # nothing fails; flags there only mark a full-power shortfall
+        first = result.frames[0]
+        np.testing.assert_array_equal(first.delivered_bits,
+                                      first.scheduled_bits)
+        np.testing.assert_array_equal(
+            first.retransmission,
+            first.scheduled_bits < cfg.target_bits_per_frame)
+        easy = run_drop(small_config(strategy=strat, target_rate_mbps=0.5), 11)
+        assert not easy.frames[0].retransmission.any()
 
 
 def test_convergence_frame():

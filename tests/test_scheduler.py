@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtxalign.scheduler import (ScheduleMap, allocate, allocate_from_bits,
+from dtxalign.scheduler import (ScheduleMap, allocate_from_bits,
                                 rb_bits, rb_order)
 
 BW = 200e3
@@ -159,7 +159,8 @@ def test_high_priority_slots_fill_first():
 
 def test_allocate_wraps_sinr():
     est_sinr = np.full((2, 1, 1), 3.0)     # 400 bits per RB
-    sched = allocate((0,), est_sinr, np.array([700.0]), BW, DT)
+    sched = allocate_from_bits((0,), rb_bits(est_sinr, BW, DT),
+                               np.array([700.0]))
     assert sched.num_scheduled_rbs == 2
     assert not sched.infeasible[0]
 

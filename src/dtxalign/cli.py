@@ -13,7 +13,7 @@ import yaml
 from dtxalign.config import CONFIG_FIELD_NAMES, STRATEGIES, SimConfig
 from dtxalign.engine import AlgoTraceStep, run_experiment
 from dtxalign.output import write_algo_trace, write_sweep, write_trace
-from dtxalign.strategies import ScoreState, memory_update
+from dtxalign.strategies import memory_update
 
 
 class CliError(Exception):
@@ -144,6 +144,7 @@ def cmd_convergence(args) -> None:
 # used last frame and the capacity order observed this frame.
 DEMO_LABELS = ["a", "b", "c"]
 DEMO_PSI0 = {"a": 0, "b": 2, "c": 5}
+DEMO_PSI_UL, DEMO_PSI_LL = 5, 0
 DEMO_STEPS = [
     ({"c"}, ("b", "c", "a")),
     ({"b", "c"}, ("b", "c", "a")),
@@ -151,8 +152,7 @@ DEMO_STEPS = [
 ]
 
 
-def trace_algorithm_steps(n_steps: int, psi_ul: int = 5,
-                          psi_ll: int = 0) -> list:
+def trace_algorithm_steps(n_steps: int) -> list:
     """Replay the built-in three-slot scoring walkthrough.
 
     Steps beyond the scripted three repeat the last input, showing the
@@ -164,23 +164,21 @@ def trace_algorithm_steps(n_steps: int, psi_ul: int = 5,
     index = {lab: i for i, lab in enumerate(DEMO_LABELS)}
     n_slots = len(DEMO_LABELS)
     psi = np.array([DEMO_PSI0[lab] for lab in DEMO_LABELS], dtype=int)
-    state = ScoreState(psi=psi, psi_ul=psi_ul, psi_ll=psi_ll,
-                       used_last=np.zeros(n_slots, dtype=bool))
     steps = []
     for i in range(n_steps):
         used_labels, rank_labels = DEMO_STEPS[min(i, len(DEMO_STEPS) - 1)]
         used = np.zeros(n_slots, dtype=bool)
         used[[index[lab] for lab in used_labels]] = True
-        state = dataclasses.replace(state, used_last=used)
         # synthetic capacities realizing the given ranking
         b = np.empty(n_slots)
         for rank, lab in enumerate(rank_labels):
             b[index[lab]] = n_slots - rank
         ranking = tuple(index[lab] for lab in rank_labels)
-        state, priority = memory_update(state, b)
+        psi, priority = memory_update(psi, used, b, DEMO_PSI_UL, DEMO_PSI_LL)
         steps.append(AlgoTraceStep(frame=i + 1,
-                                   psi=tuple(int(x) for x in state.psi),
-                                   ranking=ranking, priority=priority))
+                                   psi=tuple(int(x) for x in psi),
+                                   ranking=ranking,
+                                   priority=tuple(int(t) for t in priority)))
     return steps
 
 

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, fields
+from numbers import Integral, Real
 
 STRATEGIES = ("sequential", "random", "p_persistent", "memory")
 
@@ -34,7 +36,6 @@ class SimConfig:
     p_rb_w: float = 0.8                # transmit power per resource block
     bandwidth_hz: float = 10e6
     noise_temp_k: float = 290.0
-    carrier_hz: float = 2e9            # informational; pathloss curve is fixed
     shadowing_std_db: float = 8.0
     slot_duration_s: float = 1e-3
     frames: int = 50                   # frames per drop
@@ -59,7 +60,17 @@ class SimConfig:
         return self.target_rate_mbps * 1e6 * self.frame_duration_s
 
     def validate(self) -> None:
-        """Raise ValueError on any out-of-range field."""
+        """Raise ValueError on any mistyped, non-finite or out-of-range
+        field."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and (isinstance(value, bool)
+                                    or not isinstance(value, Integral)):
+                raise ValueError(f"{f.name} must be an integer")
+            if f.type == "float" and (isinstance(value, bool)
+                                      or not isinstance(value, Real)
+                                      or not math.isfinite(value)):
+                raise ValueError(f"{f.name} must be a finite number")
         if self.tiers < 0:
             raise ValueError("tiers must be >= 0")
         if self.isd_m <= 0:
@@ -83,6 +94,8 @@ class SimConfig:
                 raise ValueError(f"{name} must be > 0")
         if self.shadowing_std_db < 0:
             raise ValueError("shadowing_std_db must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.warmup_frames < 0 or self.warmup_frames >= self.frames:
             raise ValueError("warmup_frames must lie in [0, frames)")
 

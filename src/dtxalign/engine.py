@@ -11,7 +11,7 @@ from dtxalign.config import SimConfig
 from dtxalign.geometry import build_hex_layout, drop_mobiles
 from dtxalign.power import PowerBreakdown, total_power
 from dtxalign.scheduler import ScheduleMap, allocate_from_bits, rb_bits
-from dtxalign.strategies import make_strategy
+from dtxalign.strategies import SlotPriorities, rank_by_capacity
 
 # Relative slack when comparing realized to scheduled RB rates; absorbs
 # float noise only, any real SINR drop dwarfs it.
@@ -109,10 +109,7 @@ def run_drop(config: SimConfig, drop_seed) -> DropResult:
     gains = build_link_gains(layout, drop, rng_chan, config.subcarriers,
                              config.shadowing_std_db)
     n0 = noise_power(config.subcarrier_bw_hz, config.noise_temp_k)
-    strategies = [make_strategy(config.strategy, config.slots, strat_rngs[c],
-                                p=config.p_persist, psi_ul=config.psi_ul,
-                                psi_ll=config.psi_ll)
-                  for c in range(n_cells)]
+    strategy = SlotPriorities(config, strat_rngs)
     k_mob = config.mobiles_per_cell
     targets = np.full(k_mob, config.target_bits_per_frame)
     center = layout.center_cell_index
@@ -135,25 +132,25 @@ def run_drop(config: SimConfig, drop_seed) -> DropResult:
 
     for f in range(config.frames):
         if f > 0:
+            # in place: last frame's SINR is not read again, and a second
+            # (C, N, T, K) array would raise the drop's peak memory
+            caps = np.log2(np.add(1.0, sinr, out=sinr), out=sinr)
+            b = caps.sum(axis=(1, 3))                        # slot sum capacity
+            priorities = strategy.step(b, active.any(axis=1))
             schedules = []
             for c in range(n_cells):
-                caps = np.log2(1.0 + sinr[c])                # (N, T, K)
-                b = caps.sum(axis=(0, 2))                    # slot sum capacity
-                priority = strategies[c].next_priority(b)
-                sched = allocate_from_bits(priority, rate_scale * caps, targets)
+                sched = allocate_from_bits(priorities[c], rate_scale * caps[c],
+                                           targets)
                 schedules.append(sched)
                 active[c] = sched.pi > 0
             sinr = compute_sinr(gains, active, config.p_rb_w, n0)
             if config.strategy == "memory":
-                strat = strategies[center]
                 algo_trace.append(AlgoTraceStep(
-                    frame=f, psi=tuple(int(x) for x in strat.state.psi),
-                    ranking=strat.last_ranking, priority=strat.last_priority))
+                    frame=f, psi=tuple(int(x) for x in strategy.psi[center]),
+                    ranking=tuple(int(t) for t in rank_by_capacity(b[center])),
+                    priority=tuple(int(t) for t in priorities[center])))
 
-        powers = []
-        for c in range(n_cells):
-            powers.append(total_power(schedules[c], config))
-            strategies[c].record_used(schedules[c].slot_used)
+        powers = [total_power(sched, config) for sched in schedules]
         sched = schedules[center]
         mask = sched.pi > 0
         owners = sched.pi[mask] - 1

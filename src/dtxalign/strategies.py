@@ -1,31 +1,20 @@
-"""Slot prioritization strategies.
+"""Slot prioritization strategies, stepped for all cells of a drop at once.
 
-Each strategy maps last frame's slot sum capacities to an ordered
-permutation of the slot indices (highest transmission priority first).
-Slots are 0-indexed internally.
+Each frame, every cell turns last frame's slot sum capacities into a
+priority row: a permutation of the slot indices, highest transmission
+priority first.  `SlotPriorities` holds the state of every cell as
+(C, T) arrays (the memory scores, the previous rows) plus one RNG per
+cell, and `step` maps the capacities b (C, T) and last frame's used
+slots (C, T) to a (C, T) array of priority rows.  Rows never interact:
+a C-cell step equals C one-cell steps fed the same RNG streams.  Slots
+are 0-indexed internally.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
-
-@dataclass(frozen=True)
-class ScoreState:
-    """Persistent per-slot integer scores of the memory strategy."""
-
-    psi: np.ndarray          # (T,) int
-    psi_ul: int
-    psi_ll: int
-    used_last: np.ndarray    # (T,) bool, slots used in the previous frame
-
-    def __post_init__(self):
-        if self.psi_ll > self.psi_ul:
-            raise ValueError("psi_ll must not exceed psi_ul")
-        if np.any(self.psi < self.psi_ll) or np.any(self.psi > self.psi_ul):
-            raise ValueError("scores out of [psi_ll, psi_ul]")
+from dtxalign.config import SimConfig
 
 
 def slot_sum_capacity(sinr: np.ndarray) -> np.ndarray:
@@ -33,141 +22,65 @@ def slot_sum_capacity(sinr: np.ndarray) -> np.ndarray:
     return np.log2(1.0 + sinr).sum(axis=(0, 2))
 
 
-def sequential_priority(n_slots: int) -> tuple:
-    if n_slots < 1:
-        raise ValueError("n_slots must be >= 1")
-    return tuple(range(n_slots))
+def rank_by_capacity(b: np.ndarray) -> np.ndarray:
+    """Slots sorted by descending capacity along the last axis; ties go to
+    the lower index."""
+    return np.argsort(-np.asarray(b, dtype=float), axis=-1, kind="stable")
 
 
-def random_priority(n_slots: int, rng: np.random.Generator) -> tuple:
-    if n_slots < 1:
-        raise ValueError("n_slots must be >= 1")
-    return tuple(int(t) for t in rng.permutation(n_slots))
-
-
-def rank_by_capacity(b: np.ndarray) -> tuple:
-    """Slots sorted by descending capacity; ties go to the lower index."""
-    b = np.asarray(b, dtype=float)
-    return tuple(int(t) for t in np.lexsort((np.arange(len(b)), -b)))
-
-
-def p_persistent_priority(b: np.ndarray, prev: tuple | None, p: float,
-                          rng: np.random.Generator) -> tuple:
-    """Capacity ranking adopted with probability p, else keep prev.
-
-    The whole permutation is accepted or kept atomically.  With no prev
-    (first frame) the fresh ranking is adopted unconditionally.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    candidate = rank_by_capacity(b)
-    if prev is None:
-        return candidate
-    return candidate if rng.random() < p else tuple(prev)
-
-
-def memory_update(state: ScoreState, b: np.ndarray) -> tuple[ScoreState, tuple]:
-    """One scoring round of the memory strategy.
+def memory_update(psi: np.ndarray, used: np.ndarray, b: np.ndarray,
+                  psi_ul: int, psi_ll: int) -> tuple[np.ndarray, np.ndarray]:
+    """One scoring round of the memory strategy, on (T,) or (C, T) rows.
 
     Slots used last frame gain a point (capped at psi_ul), unused slots
     other than the current capacity leader lose one (floored at psi_ll),
     and the leader gains one more point, also capped.  Priority is by
     descending score, then descending capacity, then lower index.
-
-    The returned state keeps used_last untouched; the caller records the
-    actually used slots after scheduling.
+    Returns the new scores and the priority rows.
     """
+    psi = np.asarray(psi)
+    used = np.asarray(used, dtype=bool)
     b = np.asarray(b, dtype=float)
-    ranking = rank_by_capacity(b)
-    leader = ranking[0]
-    psi = state.psi.copy()
-    used = state.used_last
-    inc = used & (psi < state.psi_ul)
-    psi[inc] += 1
-    dec = ~used & (psi > state.psi_ll)
-    dec[leader] = False
-    psi[dec] -= 1
-    psi[leader] = min(psi[leader] + 1, state.psi_ul)
-    order = np.lexsort((np.arange(len(b)), -b, -psi))
-    priority = tuple(int(t) for t in order)
-    return replace(state, psi=psi), priority
+    leader = np.arange(b.shape[-1]) == np.argmax(b, axis=-1)[..., None]
+    psi = psi + (used & (psi < psi_ul)) - (~used & ~leader & (psi > psi_ll))
+    psi = np.where(leader, np.minimum(psi + 1, psi_ul), psi)
+    return psi, np.lexsort((-b, -psi), axis=-1)
 
 
-class SequentialStrategy:
-    def __init__(self, n_slots: int):
-        self.n_slots = n_slots
+class SlotPriorities:
+    """Strategy state of every cell of a drop, one row per cell.
 
-    def next_priority(self, b: np.ndarray) -> tuple:
-        return sequential_priority(self.n_slots)
-
-    def record_used(self, used: np.ndarray) -> None:
-        pass
-
-
-class RandomStrategy:
-    def __init__(self, n_slots: int, rng: np.random.Generator):
-        self.n_slots = n_slots
-        self.rng = rng
-
-    def next_priority(self, b: np.ndarray) -> tuple:
-        return random_priority(self.n_slots, self.rng)
-
-    def record_used(self, used: np.ndarray) -> None:
-        pass
-
-
-class PPersistentStrategy:
-    def __init__(self, n_slots: int, p: float, rng: np.random.Generator):
-        self.n_slots = n_slots
-        self.p = p
-        self.rng = rng
-        self.prev: tuple | None = None
-
-    def next_priority(self, b: np.ndarray) -> tuple:
-        priority = p_persistent_priority(b, self.prev, self.p, self.rng)
-        self.prev = priority
-        return priority
-
-    def record_used(self, used: np.ndarray) -> None:
-        pass
-
-
-class MemoryStrategy:
-    """Holds the persistent score state across frames for one cell.
-
-    Initialization mirrors the full-power start of the simulation: every
-    slot counts as used in the previous frame and all scores sit at the
-    lower bound.
+    The memory scores start at the lower bound.  In a drop, the first
+    step sees every slot as used, since frame 0 transmits on all of them.
     """
 
-    def __init__(self, n_slots: int, psi_ul: int, psi_ll: int):
-        self.state = ScoreState(
-            psi=np.full(n_slots, psi_ll, dtype=int),
-            psi_ul=psi_ul,
-            psi_ll=psi_ll,
-            used_last=np.ones(n_slots, dtype=bool),
-        )
-        self.last_ranking: tuple | None = None
-        self.last_priority: tuple | None = None
+    def __init__(self, config: SimConfig, rngs: list):
+        self.config = config
+        self.rngs = rngs
+        shape = (len(rngs), config.slots)
+        self.psi = np.full(shape, config.psi_ll, dtype=int)
+        self.prev: np.ndarray | None = None
 
-    def next_priority(self, b: np.ndarray) -> tuple:
-        self.last_ranking = rank_by_capacity(b)
-        self.state, priority = memory_update(self.state, b)
-        self.last_priority = priority
-        return priority
-
-    def record_used(self, used: np.ndarray) -> None:
-        self.state = replace(self.state, used_last=np.asarray(used, dtype=bool))
-
-
-def make_strategy(name: str, n_slots: int, rng: np.random.Generator,
-                  p: float = 0.3, psi_ul: int = 5, psi_ll: int = 0):
-    if name == "sequential":
-        return SequentialStrategy(n_slots)
-    if name == "random":
-        return RandomStrategy(n_slots, rng)
-    if name == "p_persistent":
-        return PPersistentStrategy(n_slots, p, rng)
-    if name == "memory":
-        return MemoryStrategy(n_slots, psi_ul, psi_ll)
-    raise ValueError(f"unknown strategy: {name}")
+    def step(self, b: np.ndarray, used: np.ndarray) -> np.ndarray:
+        """Priority rows (C, T) from slot capacities b (C, T) and the slots
+        each cell used last frame (C, T)."""
+        cfg = self.config
+        n_cells, n_slots = len(self.rngs), cfg.slots
+        if cfg.strategy == "sequential":
+            return np.broadcast_to(np.arange(n_slots), (n_cells, n_slots))
+        if cfg.strategy == "random":
+            return np.array([rng.permutation(n_slots) for rng in self.rngs])
+        if cfg.strategy == "p_persistent":
+            fresh = rank_by_capacity(b)
+            if self.prev is not None:
+                # the whole row is adopted or kept; first frame adopts
+                adopt = np.array([rng.random() < cfg.p_persist
+                                  for rng in self.rngs])
+                fresh = np.where(adopt[:, None], fresh, self.prev)
+            self.prev = fresh
+            return fresh
+        if cfg.strategy == "memory":
+            self.psi, priorities = memory_update(self.psi, used, b,
+                                                 cfg.psi_ul, cfg.psi_ll)
+            return priorities
+        raise ValueError(f"unknown strategy: {cfg.strategy}")

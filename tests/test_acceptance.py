@@ -19,8 +19,7 @@ from dtxalign.engine import run_experiment
 from dtxalign.geometry import build_hex_layout, drop_mobiles
 from dtxalign.power import total_power
 from dtxalign.scheduler import ScheduleMap, allocate_from_bits
-from dtxalign.strategies import (ScoreState, memory_update,
-                                 p_persistent_priority, random_priority,
+from dtxalign.strategies import (SlotPriorities, memory_update,
                                  rank_by_capacity, slot_sum_capacity)
 from test_scheduler import oracle_allocate, random_instance
 
@@ -145,20 +144,25 @@ def test_ac8_property_suites():
     for _ in range(2000):
         t = int(rng.integers(1, 12))
         b = rng.exponential(1.0, t)
-        prev = tuple(rng.permutation(t).astype(int))
-        outs = [random_priority(t, rng), rank_by_capacity(b),
-                p_persistent_priority(b, prev, float(rng.random()), rng)]
+        prev = rng.permutation(t)
+        used = np.ones((1, t), dtype=bool)
+        rand = SlotPriorities(SimConfig(strategy="random", slots=t), [rng])
+        outs = [rand.step(b[None], used)[0], rank_by_capacity(b)]
+        # a first step ranking prev, then a step that draws once
+        pers = SlotPriorities(SimConfig(strategy="p_persistent", slots=t,
+                                        p_persist=float(rng.random())), [rng])
+        b_prev = np.empty(t)
+        b_prev[prev] = np.arange(t, 0, -1)
+        outs += [pers.step(b_prev[None], used)[0], pers.step(b[None], used)[0]]
         perm_ok = perm_ok and all(sorted(o) == list(range(t)) for o in outs)
 
     # score bounds after 1e5 random updates
-    state = ScoreState(psi=np.array([0, 2, 5, 1, 3]), psi_ul=5, psi_ll=0,
-                       used_last=np.ones(5, dtype=bool))
+    psi = np.array([0, 2, 5, 1, 3])
     psi_ok = True
     for _ in range(100_000):
-        state = ScoreState(psi=state.psi, psi_ul=5, psi_ll=0,
-                           used_last=rng.random(5) < 0.5)
-        state, v = memory_update(state, rng.exponential(1.0, 5))
-        psi_ok = psi_ok and np.all(state.psi >= 0) and np.all(state.psi <= 5) \
+        used = rng.random(5) < 0.5
+        psi, v = memory_update(psi, used, rng.exponential(1.0, 5), 5, 0)
+        psi_ok = psi_ok and np.all(psi >= 0) and np.all(psi <= 5) \
             and sorted(v) == [0, 1, 2, 3, 4]
 
     # scheduler vs. independent greedy oracle on 1e3 random instances

@@ -52,6 +52,24 @@ def test_parse_config_rejects_invalid_values(tmp_path):
         parse_config(str(path), {})
 
 
+@pytest.mark.parametrize("line", [
+    "isd_m: .nan",
+    "slots: 2.0",
+    "target_rate_mbps: .nan",
+    "bandwidth_hz: .inf",
+    "shadowing_std_db: .nan",
+    "psi_ul: 2.5",
+    "seed: -1",
+])
+def test_run_rejects_bad_config_value(line, tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump({**SMALL_YAML, **yaml.safe_load(line)}))
+    rc = main(["run", "--config", str(path), "--out", str(tmp_path / "res")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert any(ln.startswith("error: invalid configuration") for ln in err)
+
+
 def test_parse_config_missing_file():
     with pytest.raises(CliError, match="not found"):
         parse_config("/nonexistent/cfg.yaml", {})

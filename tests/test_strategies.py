@@ -3,10 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtxalign.strategies import (MemoryStrategy, ScoreState, memory_update,
-                                 p_persistent_priority, random_priority,
-                                 rank_by_capacity, sequential_priority,
-                                 slot_sum_capacity)
+from dtxalign.config import STRATEGIES, SimConfig
+from dtxalign.strategies import (SlotPriorities, memory_update,
+                                 rank_by_capacity, slot_sum_capacity)
+
+
+def one_cell(strategy, n_slots, seed=0, **kwargs):
+    cfg = SimConfig(strategy=strategy, slots=n_slots, **kwargs)
+    return SlotPriorities(cfg, [np.random.default_rng(seed)])
+
+
+def step1(state, b, used=None):
+    """One step of a one-cell state, as a tuple of ints."""
+    b = np.asarray(b, dtype=float)
+    used = np.ones(len(b), dtype=bool) if used is None else used
+    return tuple(int(t) for t in state.step(b[None], np.asarray(used)[None])[0])
 
 
 def test_sum_capacity_zero_sinr():
@@ -31,31 +42,48 @@ def test_sum_capacity_matches_brute_force():
 
 
 def test_sequential():
-    assert sequential_priority(3) == (0, 1, 2)
-    assert sequential_priority(10) == tuple(range(10))
-    assert sequential_priority(10) == sequential_priority(10)
+    b = np.array([1.0, 3.0, 2.0])
+    assert step1(one_cell("sequential", 3), b) == (0, 1, 2)
+    state = one_cell("sequential", 10)
+    assert step1(state, np.ones(10)) == tuple(range(10))
+    assert step1(state, np.ones(10)) == step1(state, np.arange(10.0))
     with pytest.raises(ValueError):
-        sequential_priority(0)
+        SimConfig(strategy="sequential", slots=0).validate()
 
 
 def test_random_priority_single_slot():
-    assert random_priority(1, np.random.default_rng(0)) == (0,)
+    assert step1(one_cell("random", 1), [1.0]) == (0,)
 
 
 def test_random_priority_uniform_over_permutations():
-    rng = np.random.default_rng(8)
+    state = one_cell("random", 3, seed=8)
+    b = np.ones(3)
     counts = {}
     n = 60_000
     for _ in range(n):
-        counts[random_priority(3, rng)] = counts.get(random_priority(3, rng), 0) + 1
+        counts[step1(state, b)] = counts.get(step1(state, b), 0) + 1
     assert len(counts) == 6
     for c in counts.values():
         assert c / n == pytest.approx(1 / 6, rel=0.02)
 
 
 def test_rank_by_capacity_ties_to_lower_index():
-    assert rank_by_capacity(np.array([2.0, 5.0, 2.0])) == (1, 0, 2)
-    assert rank_by_capacity(np.array([1.0, 1.0, 1.0])) == (0, 1, 2)
+    assert tuple(rank_by_capacity(np.array([2.0, 5.0, 2.0]))) == (1, 0, 2)
+    assert tuple(rank_by_capacity(np.array([1.0, 1.0, 1.0]))) == (0, 1, 2)
+
+
+def _p_persistent(p, prev, rng):
+    """One-cell p_persistent state on rng whose previous row is prev.
+
+    Its first step adopts the ranking of the capacities without a draw,
+    so every later step draws from rng once, as a call given prev did.
+    """
+    state = SlotPriorities(
+        SimConfig(strategy="p_persistent", slots=len(prev), p_persist=p), [rng])
+    b_prev = np.empty(len(prev))
+    b_prev[list(prev)] = np.arange(len(prev), 0, -1)
+    assert step1(state, b_prev) == tuple(prev)
+    return state
 
 
 def test_p_persistent_degenerate_p():
@@ -63,14 +91,13 @@ def test_p_persistent_degenerate_p():
     b = np.array([1.0, 3.0, 2.0])
     prev = (0, 1, 2)
     for _ in range(20):
-        assert p_persistent_priority(b, prev, 1.0, rng) == (1, 2, 0)
-        assert p_persistent_priority(b, prev, 0.0, rng) == prev
+        assert step1(_p_persistent(1.0, prev, rng), b) == (1, 2, 0)
+        assert step1(_p_persistent(0.0, prev, rng), b) == prev
 
 
 def test_p_persistent_first_frame_adopts():
-    rng = np.random.default_rng(1)
-    b = np.array([1.0, 3.0, 2.0])
-    assert p_persistent_priority(b, None, 0.0, rng) == (1, 2, 0)
+    state = one_cell("p_persistent", 3, seed=1, p_persist=0.0)
+    assert step1(state, np.array([1.0, 3.0, 2.0])) == (1, 2, 0)
 
 
 def test_p_persistent_adoption_rate():
@@ -78,22 +105,22 @@ def test_p_persistent_adoption_rate():
     b = np.array([1.0, 3.0, 2.0])
     prev = (0, 1, 2)           # distinct from the fresh ranking (1, 2, 0)
     n = 100_000
-    adopted = sum(p_persistent_priority(b, prev, 0.3, rng) == (1, 2, 0)
+    adopted = sum(step1(_p_persistent(0.3, prev, rng), b) == (1, 2, 0)
                   for _ in range(n))
     assert adopted / n == pytest.approx(0.30, abs=0.01)
 
 
 def test_p_persistent_rejects_bad_p():
     with pytest.raises(ValueError):
-        p_persistent_priority(np.array([1.0]), None, 1.5,
-                              np.random.default_rng(0))
+        SimConfig(strategy="p_persistent", p_persist=1.5).validate()
 
 
 # three-slot worked walkthrough, slots a=0, b=1, c=2
-def _state(psi, used):
+def _update(psi, used, b):
     mask = np.zeros(3, dtype=bool)
     mask[list(used)] = True
-    return ScoreState(psi=np.array(psi), psi_ul=5, psi_ll=0, used_last=mask)
+    psi, v = memory_update(np.array(psi), mask, b, psi_ul=5, psi_ll=0)
+    return list(psi), tuple(int(t) for t in v)
 
 
 def _capacities(order):
@@ -104,33 +131,32 @@ def _capacities(order):
 
 
 def test_memory_walkthrough_step1():
-    state, v = memory_update(_state([0, 2, 5], used={2}), _capacities((1, 2, 0)))
-    assert list(state.psi) == [0, 3, 5]
+    psi, v = _update([0, 2, 5], {2}, _capacities((1, 2, 0)))
+    assert psi == [0, 3, 5]
     assert v == (2, 1, 0)
 
 
 def test_memory_walkthrough_step2():
-    state, v = memory_update(_state([0, 3, 5], used={1, 2}), _capacities((1, 2, 0)))
-    assert list(state.psi) == [0, 5, 5]
+    psi, v = _update([0, 3, 5], {1, 2}, _capacities((1, 2, 0)))
+    assert psi == [0, 5, 5]
     assert v == (1, 2, 0)
 
 
 def test_memory_walkthrough_step3():
-    state, v = memory_update(_state([0, 5, 5], used={1}), _capacities((1, 0, 2)))
-    assert list(state.psi) == [0, 5, 4]
+    psi, v = _update([0, 5, 5], {1}, _capacities((1, 0, 2)))
+    assert psi == [0, 5, 4]
     assert v == (1, 2, 0)
 
 
 def test_memory_leader_double_increment():
     # slot used last frame and top ranked gains two points
-    state, _ = memory_update(_state([0, 3, 5], used={1, 2}), _capacities((1, 2, 0)))
-    assert state.psi[1] == 5
+    psi, _ = _update([0, 3, 5], {1, 2}, _capacities((1, 2, 0)))
+    assert psi[1] == 5
 
 
 def test_memory_fixed_point_at_saturation():
-    state = _state([5, 5, 5], used={0, 1, 2})
-    new, _ = memory_update(state, _capacities((0, 1, 2)))
-    assert list(new.psi) == [5, 5, 5]
+    psi, _ = _update([5, 5, 5], {0, 1, 2}, _capacities((0, 1, 2)))
+    assert psi == [5, 5, 5]
 
 
 @st.composite
@@ -150,18 +176,17 @@ def memory_cases(draw):
 @settings(max_examples=300)
 def test_memory_update_properties(case):
     psi, psi_ul, psi_ll, used, b = case
-    state = ScoreState(psi=np.array(psi), psi_ul=psi_ul, psi_ll=psi_ll,
-                       used_last=np.array(used))
-    new, v = memory_update(state, np.array(b))
+    new, v = memory_update(np.array(psi), np.array(used), np.array(b),
+                           psi_ul, psi_ll)
     n_slots = len(psi)
     assert sorted(v) == list(range(n_slots))
-    assert np.all(new.psi >= psi_ll) and np.all(new.psi <= psi_ul)
+    assert np.all(new >= psi_ll) and np.all(new <= psi_ul)
     # a used slot never ends below an unused non-leader slot that started equal
     leader = rank_by_capacity(np.array(b))[0]
     for i in range(n_slots):
         for j in range(n_slots):
             if used[i] and not used[j] and j != leader and psi[i] == psi[j]:
-                assert new.psi[i] >= new.psi[j]
+                assert new[i] >= new[j]
 
 
 @given(st.integers(2, 10), st.integers(0, 6))
@@ -169,21 +194,73 @@ def test_memory_update_properties(case):
 def test_ranking_invariant_under_monotone_transform(n_slots, seed):
     rng = np.random.default_rng(seed)
     b = rng.exponential(1.0, n_slots)
-    assert rank_by_capacity(b) == rank_by_capacity(np.exp(b) * 3.0)
+    assert tuple(rank_by_capacity(b)) == tuple(rank_by_capacity(np.exp(b) * 3.0))
 
 
 def test_memory_strategy_initialization():
-    strat = MemoryStrategy(4, psi_ul=5, psi_ll=0)
-    assert list(strat.state.psi) == [0, 0, 0, 0]
-    assert strat.state.used_last.all()
-    v = strat.next_priority(np.array([1.0, 4.0, 2.0, 3.0]))
+    state = one_cell("memory", 4, psi_ul=5, psi_ll=0)
+    assert state.psi.tolist() == [[0, 0, 0, 0]]
+    v = step1(state, np.array([1.0, 4.0, 2.0, 3.0]))
     assert sorted(v) == [0, 1, 2, 3]
+    # every slot used in the full-power start: each gains a point, and the
+    # leader (slot 1) one more
+    assert state.psi.tolist() == [[1, 2, 1, 1]]
 
 
 def test_score_state_validation():
     with pytest.raises(ValueError):
-        ScoreState(psi=np.array([6]), psi_ul=5, psi_ll=0,
-                   used_last=np.array([True]))
-    with pytest.raises(ValueError):
-        ScoreState(psi=np.array([0]), psi_ul=0, psi_ll=1,
-                   used_last=np.array([True]))
+        SimConfig(psi_ul=0, psi_ll=1).validate()
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_cells_step_independently(strategy):
+    """A C-cell step equals C one-cell states fed the same RNG streams."""
+    n_cells, n_slots = 5, 6
+    cfg = SimConfig(strategy=strategy, slots=n_slots)
+    many = SlotPriorities(cfg, [np.random.default_rng(c) for c in range(n_cells)])
+    singles = [SlotPriorities(cfg, [np.random.default_rng(c)])
+               for c in range(n_cells)]
+    rng = np.random.default_rng(99)
+    for _ in range(8):
+        b = rng.exponential(1.0, (n_cells, n_slots))
+        used = rng.random((n_cells, n_slots)) < 0.5
+        rows = many.step(b, used)
+        assert rows.shape == (n_cells, n_slots)
+        for c, single in enumerate(singles):
+            np.testing.assert_array_equal(
+                rows[c], single.step(b[c:c + 1], used[c:c + 1])[0])
+            np.testing.assert_array_equal(many.psi[c], single.psi[0])
+
+
+@st.composite
+def step_cases(draw):
+    n_cells = draw(st.integers(1, 6))
+    n_slots = draw(st.integers(1, 12))
+    psi_ll = draw(st.integers(-3, 2))
+    psi_ul = draw(st.integers(psi_ll, psi_ll + 8))
+    p = draw(st.floats(0.0, 1.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    n_frames = draw(st.integers(1, 6))
+    return n_cells, n_slots, psi_ll, psi_ul, p, seed, n_frames
+
+
+@given(step_cases())
+@settings(max_examples=200, deadline=None)
+def test_every_row_is_a_permutation(case):
+    n_cells, n_slots, psi_ll, psi_ul, p, seed, n_frames = case
+    for strategy in STRATEGIES:
+        cfg = SimConfig(strategy=strategy, slots=n_slots, p_persist=p,
+                        psi_ul=psi_ul, psi_ll=psi_ll)
+        state = SlotPriorities(cfg, [np.random.default_rng([seed, c])
+                                     for c in range(n_cells)])
+        rng = np.random.default_rng(seed)
+        for _ in range(n_frames):
+            b = rng.exponential(1.0, (n_cells, n_slots))
+            used = rng.random((n_cells, n_slots)) < 0.5
+            rows = state.step(b, used)
+            assert rows.shape == (n_cells, n_slots)
+            for row in rows:
+                assert sorted(row.tolist()) == list(range(n_slots))
+            if strategy == "memory":
+                assert np.all(state.psi >= psi_ll)
+                assert np.all(state.psi <= psi_ul)

@@ -83,29 +83,41 @@ def build_link_gains(layout: NetworkLayout, drop: MobileDrop,
 
 
 def compute_sinr(gains: LinkGainMap, active: np.ndarray, p_rb: float,
-                 n0: float) -> np.ndarray:
+                 n0: float, out: np.ndarray | None = None) -> np.ndarray:
     """Hypothetical per-RB SINR tensors for every cell.
 
     active[c, n, t] marks cells transmitting on RB (n, t).  Returns
     s[c, n, t, k], the SINR mobile k of cell c would see on RB (n, t);
     the desired-link numerator is evaluated on every RB, including the
     serving cell's DTX slots, so slot rankings can use all T slots.
+    The result is written into `out`, a (C, N, T, K) float array, when
+    one is given.
     """
     if p_rb <= 0:
         raise ValueError("p_rb must be > 0")
     g = gains.gain
     num_cells, num_mobiles, n_sub = g.shape
     k_per = gains.mobiles_per_cell
-    act = active.astype(float)                           # (C, N, T)
-    n_slots = act.shape[2]
-    # total received power per mobile and RB from all active cells
-    total = p_rb * np.einsum("cmn,cnt->mnt", g, act)     # (M, N, T)
-    sinr = np.empty((num_cells, n_sub, n_slots, k_per))
-    for c in range(num_cells):
-        sel = slice(c * k_per, (c + 1) * k_per)
-        desired = p_rb * g[c, sel, :]                    # (K, N)
-        own = desired[:, :, None] * act[c][None, :, :]   # serving cell's share
-        interference = total[sel] - own
-        s = desired[:, :, None] / (n0 + interference)    # (K, N, T)
-        sinr[c] = s.transpose(1, 2, 0)
-    return sinr
+    n_slots = active.shape[2]
+    # total received power per mobile and RB from all active cells, one
+    # (M, C) @ (C, T) product per subcarrier.  With the mobile axis
+    # reversed, the gain operand has no stride of +1 item, so matmul never
+    # hands it to BLAS (which sums in blocks and rounds differently) and
+    # sums the cells in index order, bit for bit like a loop over cells.
+    # A single mobile means a single cell, and no sum to order.
+    total = np.matmul(g[:, ::-1].transpose(2, 1, 0),
+                      active.astype(float).transpose(1, 0, 2))  # (N, M, T)
+    total *= p_rb
+    cells = np.arange(num_cells)
+    # each serving cell's gains to its own mobiles: the diagonal blocks
+    desired = g.reshape(num_cells, num_cells, k_per, n_sub)[cells, cells]
+    desired *= p_rb
+    desired = desired.transpose(0, 2, 1)[:, :, None, :]      # (C, N, 1, K)
+    sinr = np.empty((num_cells, n_sub, n_slots, k_per)) if out is None else out
+    sinr[...] = total[:, ::-1].reshape(
+        n_sub, num_cells, k_per, n_slots).transpose(1, 0, 3, 2)
+    # interference: the total less the serving cell's share where it
+    # transmits, then the noise and the quotient, all in place
+    np.subtract(sinr, desired, out=sinr, where=active[..., None])
+    sinr += n0
+    return np.divide(desired, sinr, out=sinr)

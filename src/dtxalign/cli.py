@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
@@ -51,19 +52,29 @@ def echo_config(config: SimConfig, outdir: str) -> None:
         yaml.safe_dump(dataclasses.asdict(config), fh, sort_keys=True)
 
 
+def _parse_rate(text: str) -> float:
+    try:
+        rate = float(text)
+    except ValueError:
+        raise CliError(f"rate is not a number: {text!r}") from None
+    if not math.isfinite(rate):
+        raise CliError(f"rate must be finite: {text!r}")
+    return rate
+
+
 def parse_rates(spec: str) -> list:
     """Accept 'start:stop:step' (inclusive) or a comma-separated list."""
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
             raise CliError("rate range must be start:stop:step")
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = (_parse_rate(p) for p in parts)
         if step <= 0 or stop < start:
             raise CliError("invalid rate range")
         n = int(round((stop - start) / step))
         rates = [start + i * step for i in range(n + 1)]
     else:
-        rates = [float(p) for p in spec.split(",") if p]
+        rates = [_parse_rate(p) for p in spec.split(",") if p]
     if not rates or any(r <= 0 for r in rates):
         raise CliError("rates must be positive")
     return rates

@@ -9,8 +9,8 @@ import numpy as np
 from dtxalign.channel import build_link_gains, compute_sinr, noise_power
 from dtxalign.config import SimConfig
 from dtxalign.geometry import build_hex_layout, drop_mobiles
-from dtxalign.power import PowerBreakdown, total_power
-from dtxalign.scheduler import ScheduleMap, allocate_from_bits, rb_bits
+from dtxalign.power import PowerBreakdown, price_cells
+from dtxalign.scheduler import ScheduleMap, allocate_cells, rb_bits
 from dtxalign.strategies import SlotPriorities, rank_by_capacity
 
 # Relative slack when comparing realized to scheduled RB rates; absorbs
@@ -84,9 +84,9 @@ def retransmission_probability(frames: list) -> float:
 def run_drop(config: SimConfig, drop_seed) -> DropResult:
     """Simulate one Monte-Carlo drop.
 
-    Every frame applies all cells' schedules simultaneously, prices each
-    cell once and accounts the center cell's delivered bits against the
-    realized SINR.  Frames differ only in where the schedules come from:
+    Every frame works on arrays over the cell axis: it applies all cells'
+    schedules simultaneously, prices each cell once and accounts the
+    center cell's delivered bits against the realized SINR.  Frames differ only in where the schedules come from:
     frame 0 is the worst-case start, every cell transmitting on every RB
     (round-robin over mobiles) at the rates the all-on SINR supports;
     each later frame ranks slots from the previous frame's SINR and
@@ -121,37 +121,34 @@ def run_drop(config: SimConfig, drop_seed) -> DropResult:
     n_grid, t_grid = np.meshgrid(np.arange(config.subcarriers),
                                  np.arange(config.slots), indexing="ij")
     pi = (n_grid + t_grid) % k_mob + 1
-    schedules = [ScheduleMap(pi=pi,
-                             bits=rb_bits(sinr[c][n_grid, t_grid, pi - 1],
-                                          config.subcarrier_bw_hz,
-                                          config.slot_duration_s),
-                             infeasible=np.zeros(k_mob, dtype=bool))
-                 for c in range(n_cells)]
+    schedule = ScheduleMap(
+        pi=np.broadcast_to(pi, active.shape),
+        bits=rb_bits(sinr[:, n_grid, t_grid, pi - 1],
+                     config.subcarrier_bw_hz, config.slot_duration_s),
+        infeasible=np.zeros((n_cells, k_mob), dtype=bool))
     frames = []
     algo_trace = []
 
     for f in range(config.frames):
         if f > 0:
-            # in place: last frame's SINR is not read again, and a second
-            # (C, N, T, K) array would raise the drop's peak memory
+            # in place: last frame's SINR buffer becomes the RB bits and
+            # then takes this frame's SINR, since a second (C, N, T, K)
+            # array would raise the drop's peak memory
             caps = np.log2(np.add(1.0, sinr, out=sinr), out=sinr)
             b = caps.sum(axis=(1, 3))                        # slot sum capacity
             priorities = strategy.step(b, active.any(axis=1))
-            schedules = []
-            for c in range(n_cells):
-                sched = allocate_from_bits(priorities[c], rate_scale * caps[c],
-                                           targets)
-                schedules.append(sched)
-                active[c] = sched.pi > 0
-            sinr = compute_sinr(gains, active, config.p_rb_w, n0)
+            caps *= rate_scale                               # bits per RB
+            schedule = allocate_cells(priorities, caps, targets)
+            active = schedule.pi > 0
+            sinr = compute_sinr(gains, active, config.p_rb_w, n0, out=caps)
             if config.strategy == "memory":
                 algo_trace.append(AlgoTraceStep(
                     frame=f, psi=tuple(int(x) for x in strategy.psi[center]),
                     ranking=tuple(int(t) for t in rank_by_capacity(b[center])),
                     priority=tuple(int(t) for t in priorities[center])))
 
-        powers = [total_power(sched, config) for sched in schedules]
-        sched = schedules[center]
+        powers = price_cells(schedule.pi, config)
+        sched = schedule.cell(center)
         mask = sched.pi > 0
         owners = sched.pi[mask] - 1
         n_sel, t_sel = np.nonzero(mask)
@@ -163,8 +160,8 @@ def run_drop(config: SimConfig, drop_seed) -> DropResult:
         scheduled = sched.scheduled_bits_per_mobile(k_mob)
         retx = delivered < targets * (1.0 - DELIVERY_RTOL)
         frames.append(FrameMetrics(
-            frame=f, cell_power_w=np.array([pb.total_w for pb in powers]),
-            center_power=powers[center],
+            frame=f, cell_power_w=powers.total_w,
+            center_power=powers.cell(center),
             scheduled_bits=scheduled, delivered_bits=delivered,
             retransmission=retx, infeasible=sched.infeasible.copy()))
     return DropResult(frames=frames, algo_trace=algo_trace)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+import numpy as np
 
 from dtxalign.config import SimConfig
 from dtxalign.scheduler import ScheduleMap
@@ -10,6 +12,9 @@ from dtxalign.scheduler import ScheduleMap
 
 @dataclass(frozen=True)
 class PowerBreakdown:
+    """Frame-average power of one cell, or of every cell when each field
+    is a (C,) array; `cell(c)` takes out one cell's breakdown."""
+
     total_w: float
     sleep_part_w: float
     tx_part_w: float
@@ -17,19 +22,24 @@ class PowerBreakdown:
     t_s: int              # DTX slots
     n_tx_avg: float       # scheduled RBs per slot, averaged over the frame
 
+    def cell(self, c: int) -> PowerBreakdown:
+        return PowerBreakdown(*(getattr(self, f.name)[c].item()
+                                for f in fields(self)))
 
-def total_power(schedule: ScheduleMap, config: SimConfig) -> PowerBreakdown:
-    """Frame-average power of one cell, priced with the config's
-    p_sleep_w, p_idle_w, load_factor and p_rb_w.
+
+def price_cells(pi: np.ndarray, config: SimConfig) -> PowerBreakdown:
+    """Frame-average power of every cell from its RB map pi (C, N, T),
+    priced with the config's p_sleep_w, p_idle_w, load_factor and p_rb_w.
 
     Sleep power is charged per DTX slot, idle power per active slot, and
     the transmit term scales with the frame-average count of scheduled
     RBs (the reading consistent with the 350 W full-load and 90 W
     all-DTX anchors).
     """
-    n_slots = schedule.pi.shape[1]
-    t_s = schedule.t_s
-    n_tx_avg = schedule.num_scheduled_rbs / n_slots
+    scheduled = pi > 0
+    n_slots = pi.shape[-1]
+    t_s = n_slots - scheduled.any(axis=-2).sum(axis=-1)
+    n_tx_avg = scheduled.sum(axis=(-2, -1)) / n_slots
     sleep_part = config.p_sleep_w * t_s / n_slots
     tx_part = config.load_factor * config.p_rb_w * n_tx_avg
     idle_part = config.p_idle_w * (n_slots - t_s) / n_slots
@@ -41,3 +51,8 @@ def total_power(schedule: ScheduleMap, config: SimConfig) -> PowerBreakdown:
         t_s=t_s,
         n_tx_avg=n_tx_avg,
     )
+
+
+def total_power(schedule: ScheduleMap, config: SimConfig) -> PowerBreakdown:
+    """Frame-average power of one cell: price_cells of its single row."""
+    return price_cells(schedule.pi[None], config).cell(0)

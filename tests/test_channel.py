@@ -201,3 +201,44 @@ def test_sinr_pattern_change_touches_only_that_slot():
     np.testing.assert_array_equal(s_full[0][:, unchanged, :],
                                   s_mod[0][:, unchanged, :])
     assert np.any(s_full[0][:, 2, :] != s_mod[0][:, 2, :])
+
+
+def _per_cell_einsum_sinr(gains, active, p_rb, n0):
+    """The earlier form of compute_sinr: one einsum over all cells for the
+    total received power, then each serving cell's share taken out in a
+    loop over cells."""
+    g = gains.gain
+    num_cells, _, n_sub = g.shape
+    k_per = gains.mobiles_per_cell
+    act = active.astype(float)
+    n_slots = act.shape[2]
+    total = p_rb * np.einsum("cmn,cnt->mnt", g, act)
+    sinr = np.empty((num_cells, n_sub, n_slots, k_per))
+    for c in range(num_cells):
+        sel = slice(c * k_per, (c + 1) * k_per)
+        desired = p_rb * g[c, sel, :]
+        own = desired[:, :, None] * act[c][None, :, :]
+        interference = total[sel] - own
+        s = desired[:, :, None] / (n0 + interference)
+        sinr[c] = s.transpose(1, 2, 0)
+    return sinr
+
+
+@pytest.mark.parametrize("tiers", [0, 1, 2, 3])
+def test_sinr_bit_identical_to_per_cell_form(tiers):
+    # the cells are summed in the same order, so not one bit may differ;
+    # the shapes include the reference grid and the one-RB frame
+    layout = build_hex_layout(tiers, 500.0)
+    rng = np.random.default_rng(100 + tiers)
+    for k_per, n_sub, n_slots in ((1, 1, 1), (3, 1, 4), (2, 5, 1), (4, 6, 3),
+                                  (10, 50, 10)):
+        drop = drop_mobiles(layout, k_per, rng)
+        gains = build_link_gains(layout, drop, rng, n_sub)
+        for density in (0.0, 0.1, 0.5, 0.9, 1.0):
+            active = rng.random((layout.num_cells, n_sub, n_slots)) < density
+            want = _per_cell_einsum_sinr(gains, active, 0.8, 8.008e-16)
+            np.testing.assert_array_equal(
+                compute_sinr(gains, active, 0.8, 8.008e-16), want)
+            out = np.empty_like(want)
+            assert compute_sinr(gains, active, 0.8, 8.008e-16, out=out) is out
+            np.testing.assert_array_equal(out, want)

@@ -91,6 +91,18 @@ def test_parse_rates():
             parse_rates(bad)
 
 
+@pytest.mark.parametrize("spec", ["1,abc", "1:x:1", "nan", "inf"])
+def test_sweep_rejects_rates_that_are_not_finite_numbers(spec, small_yaml,
+                                                         tmp_path, capsys):
+    with pytest.raises(CliError):
+        parse_rates(spec)
+    rc = main(["sweep", "--config", small_yaml, "--rates", spec,
+               "--out", str(tmp_path / "res")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert any(ln.startswith("error: rate") for ln in err)
+
+
 def test_parse_strategies():
     assert parse_strategies("all") == [
         "sequential", "random", "p_persistent", "memory"]

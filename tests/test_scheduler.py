@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtxalign.scheduler import (ScheduleMap, allocate_from_bits,
-                                rb_bits, rb_order)
+from dtxalign.scheduler import (ScheduleMap, allocate_cells,
+                                allocate_from_bits, rb_bits, rb_order)
 
 BW = 200e3
 DT = 1e-3
@@ -28,6 +28,12 @@ def test_rb_order():
     n_idx, t_idx = rb_order((2, 0, 1), 3)
     assert list(t_idx) == [2, 2, 2, 0, 0, 0, 1, 1, 1]
     assert list(n_idx) == [0, 1, 2, 0, 1, 2, 0, 1, 2]
+
+
+def test_rb_order_rows():
+    n_idx, t_idx = rb_order(np.array([(2, 0, 1), (1, 2, 0)]), 2)
+    assert t_idx.tolist() == [[2, 2, 0, 0, 1, 1], [1, 1, 2, 2, 0, 0]]
+    assert n_idx.tolist() == [[0, 1, 0, 1, 0, 1]] * 2
 
 
 def oracle_allocate(priority, est_bits, targets):
@@ -123,6 +129,22 @@ def test_infeasible_mobile_blocks_later_mobile():
     assert np.all(sched.pi == 1)
 
 
+def test_zero_target_takes_no_rb():
+    est = np.full((3, 2, 2), 100.0)
+    sched = allocate_from_bits((0, 1), est, [0.0, 150.0])
+    # mobile 1 takes nothing, so mobile 2 starts at the first RB
+    assert sched.pi[:, 0].tolist() == [2, 2, 0]
+    assert sched.num_scheduled_rbs == 2
+    assert sched.infeasible.tolist() == [False, False]
+    pi_ref, inf_ref = oracle_allocate((0, 1), est, [0.0, 150.0])
+    np.testing.assert_array_equal(sched.pi, pi_ref)
+    np.testing.assert_array_equal(sched.infeasible, inf_ref)
+    # a zero target is met even when no RB is left for it
+    sched = allocate_from_bits((0,), np.full((1, 1, 2), 100.0), [500.0, 0.0])
+    assert sched.pi.tolist() == [[1]]
+    assert sched.infeasible.tolist() == [True, False]
+
+
 def test_zero_rate_rbs_skipped():
     est = np.zeros((3, 2, 1))
     est[1, 1, 0] = 400.0
@@ -176,3 +198,30 @@ def test_allocate_property_vs_oracle(seed):
     pi_ref, inf_ref = oracle_allocate(priority, est, targets)
     np.testing.assert_array_equal(sched.pi, pi_ref)
     np.testing.assert_array_equal(sched.infeasible, inf_ref)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_allocate_cells_equals_oracle_per_cell(seed):
+    # one call for C cells, each with its own priority row, rates (zero-rate
+    # RBs included) and targets (unreachable and zero ones included)
+    rng = np.random.default_rng(seed)
+    n_cells, n_sub = rng.integers(1, 5), rng.integers(1, 8)
+    n_slots, k_mob = rng.integers(1, 6), rng.integers(1, 5)
+    est = rng.exponential(300.0, size=(n_cells, n_sub, n_slots, k_mob))
+    est[rng.random(est.shape) < rng.uniform(0.0, 0.6)] = 0.0
+    targets = rng.uniform(100.0, 3000.0, size=k_mob)
+    targets[rng.random(k_mob) < 0.2] = 0.0
+    priorities = np.array([rng.permutation(n_slots) for _ in range(n_cells)])
+    sched = allocate_cells(priorities, est, targets)
+    assert sched.pi.shape == sched.bits.shape == (n_cells, n_sub, n_slots)
+    assert sched.infeasible.shape == (n_cells, k_mob)
+    for c in range(n_cells):
+        pi_ref, inf_ref = oracle_allocate(tuple(priorities[c]), est[c], targets)
+        np.testing.assert_array_equal(sched.pi[c], pi_ref)
+        np.testing.assert_array_equal(sched.infeasible[c], inf_ref)
+        mask = pi_ref > 0
+        np.testing.assert_array_equal(
+            sched.bits[c][mask],
+            est[c][mask.nonzero()[0], mask.nonzero()[1], pi_ref[mask] - 1])
+        assert np.all(sched.bits[c][~mask] == 0)

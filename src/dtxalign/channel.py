@@ -27,14 +27,6 @@ class LinkGainMap:
     gain: np.ndarray  # (C, M, N), M = C * K mobiles cell-major
     mobiles_per_cell: int
 
-    @property
-    def num_cells(self) -> int:
-        return self.gain.shape[0]
-
-    @property
-    def num_subcarriers(self) -> int:
-        return self.gain.shape[2]
-
 
 def pathloss_db(distance_m) -> np.ndarray:
     """Macro NLOS pathloss in dB, with a 35 m distance floor."""
@@ -70,6 +62,10 @@ def build_link_gains(layout: NetworkLayout, drop: MobileDrop,
     rate floor set by geometry alone.  Independent per-link draws create
     mobiles whose targets exceed the whole frame grid, freezing the entire
     network at full power.
+
+    The gains are stored subcarrier-major, as an (N, C, M) array seen
+    through a (C, M, N) view, so that the per-subcarrier products of
+    compute_sinr read contiguous (C, M) blocks.
     """
     mobiles = drop.flat_positions                       # (M, 2)
     cells = layout.cell_positions                       # (C, 2)
@@ -78,8 +74,14 @@ def build_link_gains(layout: NetworkLayout, drop: MobileDrop,
     shadow = sample_shadowing(rng, size=(1, mobiles.shape[0]),
                               std_db=shadowing_std_db)
     fading = rng.exponential(1.0, size=pl.shape + (n_subcarriers,))
-    gain = 10.0 ** (-(pl + shadow) / 10.0)[..., None] * fading
-    return LinkGainMap(gain=gain, mobiles_per_cell=drop.mobiles_per_cell)
+    scale = 10.0 ** (-(pl + shadow) / 10.0)             # (C, M)
+    # written straight into the subcarrier-major buffer: a product without
+    # `out` keeps the cell-major layout, and a contiguous copy of it would
+    # hold two gain arrays at once
+    buf = np.empty((n_subcarriers,) + pl.shape)
+    np.multiply(scale, fading.transpose(2, 0, 1), out=buf)
+    return LinkGainMap(gain=buf.transpose(1, 2, 0),
+                       mobiles_per_cell=drop.mobiles_per_cell)
 
 
 def compute_sinr(gains: LinkGainMap, active: np.ndarray, p_rb: float,
@@ -109,10 +111,12 @@ def compute_sinr(gains: LinkGainMap, active: np.ndarray, p_rb: float,
                       active.astype(float).transpose(1, 0, 2))  # (N, M, T)
     total *= p_rb
     cells = np.arange(num_cells)
-    # each serving cell's gains to its own mobiles: the diagonal blocks
-    desired = g.reshape(num_cells, num_cells, k_per, n_sub)[cells, cells]
+    # each serving cell's gains to its own mobiles: the diagonal blocks,
+    # taken per subcarrier (the reshape is a view of subcarrier-major gains)
+    desired = g.transpose(2, 0, 1).reshape(
+        n_sub, num_cells, num_cells, k_per)[:, cells, cells]  # (N, C, K)
     desired *= p_rb
-    desired = desired.transpose(0, 2, 1)[:, :, None, :]      # (C, N, 1, K)
+    desired = desired.transpose(1, 0, 2)[:, :, None, :]      # (C, N, 1, K)
     sinr = np.empty((num_cells, n_sub, n_slots, k_per)) if out is None else out
     sinr[...] = total[:, ::-1].reshape(
         n_sub, num_cells, k_per, n_slots).transpose(1, 0, 3, 2)

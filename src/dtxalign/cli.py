@@ -17,6 +17,11 @@ from dtxalign.output import write_algo_trace, write_sweep, write_trace
 from dtxalign.strategies import memory_update
 
 
+# Every rate of a sweep costs config.drops whole drops per strategy, so a
+# longer range is a mistyped step, not a sweep.
+MAX_RATES = 1000
+
+
 class CliError(Exception):
     pass
 
@@ -63,7 +68,8 @@ def _parse_rate(text: str) -> float:
 
 
 def parse_rates(spec: str) -> list:
-    """Accept 'start:stop:step' (inclusive) or a comma-separated list."""
+    """Accept 'start:stop:step' (inclusive, at most MAX_RATES rates) or a
+    comma-separated list."""
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
@@ -71,7 +77,10 @@ def parse_rates(spec: str) -> list:
         start, stop, step = (_parse_rate(p) for p in parts)
         if step <= 0 or stop < start:
             raise CliError("invalid rate range")
-        n = int(round((stop - start) / step))
+        n = (stop - start) / step          # inf when the span overflows
+        if not n <= MAX_RATES - 1:
+            raise CliError(f"rate range gives more than {MAX_RATES} rates")
+        n = int(round(n))
         rates = [start + i * step for i in range(n + 1)]
     else:
         rates = [_parse_rate(p) for p in spec.split(",") if p]

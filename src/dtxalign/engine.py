@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -167,40 +168,79 @@ def run_drop(config: SimConfig, drop_seed) -> DropResult:
     return DropResult(frames=frames, algo_trace=algo_trace)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (`taskset` narrows them); one where the
+    platform has no CPU affinity."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else 1
+
+
+def _drop_stats(task) -> tuple:
+    """Simulate one (config, drop seed, keep algorithm trace) job of
+    run_experiment and return only what its summary needs: the center
+    cell's power trace, the steady-state retransmission and outage rates,
+    and the algorithm trace if asked for, else None."""
+    config, drop_seed, keep_algo_trace = task
+    result = run_drop(config, drop_seed)
+    steady = result.frames[config.warmup_frames:]
+    return (np.array([fm.cell_power_w[0] for fm in result.frames]),
+            retransmission_probability(steady),
+            float(np.mean([fm.infeasible for fm in steady])),
+            result.algo_trace if keep_algo_trace else None)
+
+
+def _map_drops(jobs: list) -> list:
+    """_drop_stats of every job, in job order, on one worker per usable CPU.
+
+    Workers are forked, not spawned: a spawned worker imports numpy and
+    this package afresh, which takes about as long as a 7-cell run.  The
+    only other threads the simulator starts are OpenBLAS's, which shuts
+    its thread pool down at fork.  A single job or a single CPU runs
+    in-process, and so does a daemonic process (itself a pool worker),
+    which may not start children.
+    """
+    workers = min(_usable_cpus(), len(jobs))
+    if workers > 1:
+        # imported here: at module level it adds 13 ms and 0.7 MB to every
+        # command's start-up, single-drop runs included
+        import multiprocessing as mp
+        if ("fork" in mp.get_all_start_methods()
+                and not mp.current_process().daemon):
+            with mp.get_context("fork").Pool(workers) as pool:
+                return pool.map(_drop_stats, jobs, chunksize=1)
+    return list(map(_drop_stats, jobs))
+
+
 def run_experiment(config: SimConfig, rate_sweep) -> list:
     """Average center-cell metrics over config.drops for each target rate.
 
     Drop seeds derive from the master seed alone, so results are
     independent of evaluation order; the same drops (positions, channels)
-    are reused across rates to reduce sweep noise.
+    are reused across rates to reduce sweep noise.  The (rate, drop) jobs
+    run on one worker process per usable CPU, and their results are
+    averaged in drop order, so every summary is the same bit for bit on
+    any number of CPUs.
     """
     config.validate()
     drop_seeds = np.random.SeedSequence(config.seed).spawn(config.drops)
+    rates = [float(rate) for rate in rate_sweep]
+    stats = _map_drops([(replace(config, target_rate_mbps=rate), ds, d == 0)
+                        for rate in rates for d, ds in enumerate(drop_seeds)])
     summaries = []
-    for rate in rate_sweep:
-        cfg = replace(config, target_rate_mbps=float(rate))
-        traces = np.empty((config.drops, config.frames))
-        retx = []
-        outage = []
-        for d, ds in enumerate(drop_seeds):
-            result = run_drop(cfg, ds)
-            if d == 0:
-                algo_trace = result.algo_trace
-            traces[d] = [fm.cell_power_w[0] for fm in result.frames]
-            steady = result.frames[config.warmup_frames:]
-            retx.append(retransmission_probability(steady))
-            outage.append(float(np.mean([fm.infeasible for fm in steady])))
-        mean_trace = traces.mean(axis=0)
+    for i, rate in enumerate(rates):
+        traces, retx, outage, algo_traces = zip(
+            *stats[i * config.drops:(i + 1) * config.drops])
+        mean_trace = np.array(traces).mean(axis=0)
         steady_mean = float(mean_trace[config.warmup_frames:].mean())
         summaries.append(RunSummary(
             strategy=config.strategy,
-            rate_mbps=float(rate),
-            sum_rate_mbps=float(rate) * config.mobiles_per_cell,
+            rate_mbps=rate,
+            sum_rate_mbps=rate * config.mobiles_per_cell,
             mean_power_w=steady_mean,
             power_trace_w=mean_trace,
             retransmission_prob=float(np.mean(retx)),
             outage_rate=float(np.mean(outage)),
             convergence_frame=convergence_frame(mean_trace, 0.01),
-            algo_trace=algo_trace,
+            algo_trace=algo_traces[0],
         ))
     return summaries

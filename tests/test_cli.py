@@ -91,6 +91,25 @@ def test_parse_rates():
             parse_rates(bad)
 
 
+def test_parse_rates_range_cap():
+    assert len(parse_rates(f"1:{cli.MAX_RATES}:1")) == cli.MAX_RATES
+    with pytest.raises(CliError, match="more than"):
+        parse_rates(f"1:{cli.MAX_RATES + 1}:1")
+
+
+# a span that overflows to inf, and a finite range of 1e10 rates
+@pytest.mark.parametrize("spec", ["-1e308:1e308:1", "0.001:1e7:0.001"])
+def test_sweep_rejects_oversized_rate_range(spec, small_yaml, tmp_path,
+                                            capsys):
+    rc = main(["sweep", "--config", small_yaml, f"--rates={spec}",
+               "--out", str(tmp_path / "res")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert any(ln.startswith("error: rate range gives more than")
+               for ln in err)
+    assert not os.path.exists(tmp_path / "res")
+
+
 @pytest.mark.parametrize("spec", ["1,abc", "1:x:1", "nan", "inf"])
 def test_sweep_rejects_rates_that_are_not_finite_numbers(spec, small_yaml,
                                                          tmp_path, capsys):
@@ -137,11 +156,13 @@ def test_run_command_outputs(small_yaml, tmp_path, capsys):
 
 
 def test_run_simulates_each_drop_once(small_yaml, tmp_path, monkeypatch, capsys):
-    calls = []
+    # drops may run in forked workers, which share files but not a list
+    log = tmp_path / "calls.log"
     run_drop = engine.run_drop
 
     def counting(*args, **kwargs):
-        calls.append(args)
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
         return run_drop(*args, **kwargs)
 
     # patch every name the drop simulator is reachable under
@@ -151,6 +172,7 @@ def test_run_simulates_each_drop_once(small_yaml, tmp_path, monkeypatch, capsys)
     assert main(["run", "--config", small_yaml, "--strategy", "memory",
                  "--rate-mbps", "0.2", "--drops", "2", "--out", out]) == 0
     capsys.readouterr()
+    calls = log.read_text().splitlines()
     assert len(calls) == 2
     # the algorithm trace is drop 0 of the run's own drops
     config = parse_config(small_yaml, {"strategy": "memory",

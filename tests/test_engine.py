@@ -1,6 +1,10 @@
+import multiprocessing as mp
+import os
+
 import numpy as np
 import pytest
 
+from dtxalign import engine
 from dtxalign.config import STRATEGIES, SimConfig
 from dtxalign.engine import (FrameMetrics, convergence_frame,
                              retransmission_probability, run_drop,
@@ -169,3 +173,50 @@ def test_rate_order_does_not_change_results():
     ba = run_experiment(cfg, [0.6, 0.2])
     np.testing.assert_array_equal(ab[0].power_trace_w, ba[1].power_trace_w)
     np.testing.assert_array_equal(ab[1].power_trace_w, ba[0].power_trace_w)
+
+
+def _assert_same_summaries(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a.power_trace_w, b.power_trace_w)
+        for name in ("strategy", "rate_mbps", "sum_rate_mbps", "mean_power_w",
+                     "retransmission_prob", "outage_rate",
+                     "convergence_frame", "algo_trace"):
+            assert getattr(a, name) == getattr(b, name), name
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_pooled_run_experiment_equals_serial(strategy, monkeypatch):
+    cfg = small_config(strategy=strategy, drops=3, seed=5)
+    rates = [0.3, 0.8]
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 1)
+    serial = run_experiment(cfg, rates)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+    _assert_same_summaries(run_experiment(cfg, rates), serial)
+
+
+class DropFailure(RuntimeError):
+    pass
+
+
+def test_worker_exception_reaches_caller(monkeypatch):
+    parent = os.getpid()
+
+    def failing(config, drop_seed):
+        if os.getpid() != parent:
+            raise DropFailure("raised in a worker")
+        return run_drop(config, drop_seed)
+
+    monkeypatch.setattr(engine, "run_drop", failing)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+    with pytest.raises(DropFailure, match="raised in a worker"):
+        run_experiment(small_config(drops=2), [0.5])
+
+
+def test_run_experiment_inside_a_pool_worker(monkeypatch):
+    # a daemonic pool worker may not start a pool of its own
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+    cfg = small_config(strategy="memory", drops=2)
+    with mp.get_context("fork").Pool(1) as pool:
+        got = pool.apply_async(run_experiment, (cfg, [0.5])).get(timeout=120)
+    _assert_same_summaries(got, run_experiment(cfg, [0.5]))

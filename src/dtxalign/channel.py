@@ -45,8 +45,6 @@ def sample_shadowing(rng: np.random.Generator, size=None, std_db: float = 8.0):
 
 def noise_power(bandwidth_hz: float, temperature_k: float) -> float:
     """Thermal noise power k_B * T * B in watts."""
-    if bandwidth_hz <= 0 or temperature_k <= 0:
-        raise ValueError("bandwidth and temperature must be > 0")
     return BOLTZMANN_J_PER_K * temperature_k * bandwidth_hz
 
 
@@ -95,8 +93,6 @@ def compute_sinr(gains: LinkGainMap, active: np.ndarray, p_rb: float,
     The result is written into `out`, a (C, N, T, K) float array, when
     one is given.
     """
-    if p_rb <= 0:
-        raise ValueError("p_rb must be > 0")
     g = gains.gain
     num_cells, num_mobiles, n_sub = g.shape
     k_per = gains.mobiles_per_cell

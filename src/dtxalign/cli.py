@@ -44,11 +44,9 @@ def parse_config(path: str | None, overrides: dict) -> SimConfig:
         values.update(loaded)
     values.update({k: v for k, v in overrides.items() if v is not None})
     try:
-        config = SimConfig(**values)
-        config.validate()
+        return SimConfig(**values)
     except (TypeError, ValueError) as exc:
         raise CliError(f"invalid configuration: {exc}") from exc
-    return config
 
 
 def echo_config(config: SimConfig, outdir: str) -> None:

@@ -59,9 +59,9 @@ class SimConfig:
     def target_bits_per_frame(self) -> float:
         return self.target_rate_mbps * 1e6 * self.frame_duration_s
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """Raise ValueError on any mistyped, non-finite or out-of-range
-        field."""
+        field, so no invalid config can be built."""
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "int" and (isinstance(value, bool)
@@ -86,10 +86,10 @@ class SimConfig:
             raise ValueError("psi_ll must not exceed psi_ul")
         if self.target_rate_mbps <= 0:
             raise ValueError("target_rate_mbps must be > 0")
-        for name in ("p_sleep_w", "p_idle_w", "load_factor", "p_rb_w"):
+        for name in ("p_sleep_w", "p_idle_w", "load_factor"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        for name in ("bandwidth_hz", "noise_temp_k", "slot_duration_s"):
+        for name in ("p_rb_w", "bandwidth_hz", "noise_temp_k", "slot_duration_s"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
         if self.shadowing_std_db < 0:

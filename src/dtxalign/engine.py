@@ -12,7 +12,8 @@ from dtxalign.config import SimConfig
 from dtxalign.geometry import build_hex_layout, drop_mobiles
 from dtxalign.power import PowerBreakdown, price_cells
 from dtxalign.scheduler import ScheduleMap, allocate_cells, rb_bits
-from dtxalign.strategies import SlotPriorities, rank_by_capacity
+from dtxalign.strategies import (SlotPriorities, rank_by_capacity,
+                                 slot_sum_capacity)
 
 # Relative slack when comparing realized to scheduled RB rates; absorbs
 # float noise only, any real SINR drop dwarfs it.
@@ -93,7 +94,6 @@ def run_drop(config: SimConfig, drop_seed) -> DropResult:
     each later frame ranks slots from the previous frame's SINR and
     schedules against the per-mobile targets.
     """
-    config.validate()
     seq = drop_seed if isinstance(drop_seed, np.random.SeedSequence) \
         else np.random.SeedSequence(drop_seed)
     # spawn from a fresh copy: SeedSequence.spawn is stateful, and the same
@@ -135,13 +135,12 @@ def run_drop(config: SimConfig, drop_seed) -> DropResult:
             # in place: last frame's SINR buffer becomes the RB bits and
             # then takes this frame's SINR, since a second (C, N, T, K)
             # array would raise the drop's peak memory
-            caps = np.log2(np.add(1.0, sinr, out=sinr), out=sinr)
-            b = caps.sum(axis=(1, 3))                        # slot sum capacity
+            b = slot_sum_capacity(sinr, out=sinr)    # sinr: log2(1 + s)
             priorities = strategy.step(b, active.any(axis=1))
-            caps *= rate_scale                               # bits per RB
-            schedule = allocate_cells(priorities, caps, targets)
+            sinr *= rate_scale                               # bits per RB
+            schedule = allocate_cells(priorities, sinr, targets)
             active = schedule.pi > 0
-            sinr = compute_sinr(gains, active, config.p_rb_w, n0, out=caps)
+            sinr = compute_sinr(gains, active, config.p_rb_w, n0, out=sinr)
             if config.strategy == "memory":
                 algo_trace.append(AlgoTraceStep(
                     frame=f, psi=tuple(int(x) for x in strategy.psi[center]),
@@ -183,7 +182,7 @@ def _drop_stats(task) -> tuple:
     config, drop_seed, keep_algo_trace = task
     result = run_drop(config, drop_seed)
     steady = result.frames[config.warmup_frames:]
-    return (np.array([fm.cell_power_w[0] for fm in result.frames]),
+    return (np.array([fm.center_power.total_w for fm in result.frames]),
             retransmission_probability(steady),
             float(np.mean([fm.infeasible for fm in steady])),
             result.algo_trace if keep_algo_trace else None)
@@ -221,7 +220,6 @@ def run_experiment(config: SimConfig, rate_sweep) -> list:
     averaged in drop order, so every summary is the same bit for bit on
     any number of CPUs.
     """
-    config.validate()
     drop_seeds = np.random.SeedSequence(config.seed).spawn(config.drops)
     rates = [float(rate) for rate in rate_sweep]
     stats = _map_drops([(replace(config, target_rate_mbps=rate), ds, d == 0)

@@ -43,11 +43,6 @@ class MobileDrop:
         """All mobiles stacked, cell-major: mobile m = c*K + k."""
         return self.positions.reshape(-1, 2)
 
-    @property
-    def serving_cell(self) -> np.ndarray:
-        c, k, _ = self.positions.shape
-        return np.repeat(np.arange(c), k)
-
 
 def build_hex_layout(tiers: int, isd: float) -> NetworkLayout:
     """Hexagonal lattice of 1 + 3*tiers*(tiers+1) cells with spacing isd.
@@ -56,10 +51,6 @@ def build_hex_layout(tiers: int, isd: float) -> NetworkLayout:
     sit across the flats at distance isd.  Cell 0 is at the origin, the
     rest are ordered by ring and angle for determinism.
     """
-    if tiers < 0:
-        raise ValueError("tiers must be >= 0")
-    if isd <= 0:
-        raise ValueError("isd must be > 0")
     a1 = isd * np.array([SQRT3 / 2.0, 0.5])
     a2 = isd * np.array([0.0, 1.0])
     centers = []
@@ -90,8 +81,6 @@ def point_in_hexagon(points: np.ndarray, center: np.ndarray, radius: float,
 def drop_mobiles(layout: NetworkLayout, k_per_cell: int,
                  rng: np.random.Generator) -> MobileDrop:
     """Rejection-sample k_per_cell uniform points inside every hexagon."""
-    if k_per_cell < 1:
-        raise ValueError("k_per_cell must be >= 1")
     radius = layout.cell_radius
     origin = np.zeros(2)
     out = np.empty((layout.num_cells, k_per_cell, 2))

@@ -27,19 +27,6 @@ class ScheduleMap:
                            infeasible=self.infeasible[c])
 
     @property
-    def slot_used(self) -> np.ndarray:
-        """([C,] T) bool: any RB assigned in this slot."""
-        return (self.pi > 0).any(axis=-2)
-
-    @property
-    def t_tx(self) -> int:
-        return int(self.slot_used.sum())
-
-    @property
-    def t_s(self) -> int:
-        return self.pi.shape[1] - self.t_tx
-
-    @property
     def num_scheduled_rbs(self) -> int:
         return int((self.pi > 0).sum())
 

@@ -17,9 +17,14 @@ import numpy as np
 from dtxalign.config import SimConfig
 
 
-def slot_sum_capacity(sinr: np.ndarray) -> np.ndarray:
-    """Per-slot hypothetical sum capacity: b[t] = sum_k sum_n log2(1 + s)."""
-    return np.log2(1.0 + sinr).sum(axis=(0, 2))
+def slot_sum_capacity(sinr: np.ndarray,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """Per-slot hypothetical sum capacity: b[t] = sum_k sum_n log2(1 + s),
+    from s[n, t, k] (T,) or from s[c, n, t, k] for every cell (C, T).
+    log2(1 + s) is written into `out`, an array of the shape of s, when
+    one is given."""
+    caps = np.log2(np.add(1.0, sinr, out=out), out=out)
+    return caps.sum(axis=(-3, -1))
 
 
 def rank_by_capacity(b: np.ndarray) -> np.ndarray:
@@ -79,8 +84,7 @@ class SlotPriorities:
                 fresh = np.where(adopt[:, None], fresh, self.prev)
             self.prev = fresh
             return fresh
-        if cfg.strategy == "memory":
-            self.psi, priorities = memory_update(self.psi, used, b,
-                                                 cfg.psi_ul, cfg.psi_ll)
-            return priorities
-        raise ValueError(f"unknown strategy: {cfg.strategy}")
+        # memory, the one strategy left: SimConfig admits no other
+        self.psi, priorities = memory_update(self.psi, used, b,
+                                             cfg.psi_ul, cfg.psi_ll)
+        return priorities

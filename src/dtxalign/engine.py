@@ -11,7 +11,7 @@ from dtxalign.channel import build_link_gains, compute_sinr, noise_power
 from dtxalign.config import SimConfig
 from dtxalign.geometry import build_hex_layout, drop_mobiles
 from dtxalign.power import PowerBreakdown, price_cells
-from dtxalign.scheduler import ScheduleMap, allocate_cells, rb_bits
+from dtxalign.scheduler import ScheduleMap, allocate_cells
 from dtxalign.strategies import (SlotPriorities, rank_by_capacity,
                                  slot_sum_capacity)
 
@@ -86,13 +86,17 @@ def retransmission_probability(frames: list) -> float:
 def run_drop(config: SimConfig, drop_seed) -> DropResult:
     """Simulate one Monte-Carlo drop.
 
-    Every frame works on arrays over the cell axis: it applies all cells'
-    schedules simultaneously, prices each cell once and accounts the
-    center cell's delivered bits against the realized SINR.  Frames differ only in where the schedules come from:
-    frame 0 is the worst-case start, every cell transmitting on every RB
-    (round-robin over mobiles) at the rates the all-on SINR supports;
-    each later frame ranks slots from the previous frame's SINR and
-    schedules against the per-mobile targets.
+    Every frame works on arrays over the cell axis and runs one body:
+    1. the SINR of this frame's transmit pattern, every cell at once;
+    2. the bits each RB carries at that SINR, log2(1 + s) scaled by the
+       RB's bandwidth and duration: this frame's realized rates and the
+       next frame's estimates;
+    3. in frame 0 only, the schedules: every cell transmits on every RB
+       (round-robin over mobiles) at the rates from step 2;
+    4. each cell priced once, and the center cell's scheduled bits
+       delivered where the realized rate carries them;
+    5. unless this is the last frame, the slots ranked from step 2's
+       capacities and the next frame's schedules filled from its bits.
     """
     seq = drop_seed if isinstance(drop_seed, np.random.SeedSequence) \
         else np.random.SeedSequence(drop_seed)
@@ -117,43 +121,33 @@ def run_drop(config: SimConfig, drop_seed) -> DropResult:
     rate_scale = config.subcarrier_bw_hz * config.slot_duration_s
 
     active = np.ones((n_cells, config.subcarriers, config.slots), dtype=bool)
-    sinr = compute_sinr(gains, active, config.p_rb_w, n0)
-    # frame 0: any all-nonzero assignment works; round-robin over mobiles
-    n_grid, t_grid = np.meshgrid(np.arange(config.subcarriers),
-                                 np.arange(config.slots), indexing="ij")
-    pi = (n_grid + t_grid) % k_mob + 1
-    schedule = ScheduleMap(
-        pi=np.broadcast_to(pi, active.shape),
-        bits=rb_bits(sinr[:, n_grid, t_grid, pi - 1],
-                     config.subcarrier_bw_hz, config.slot_duration_s),
-        infeasible=np.zeros((n_cells, k_mob), dtype=bool))
+    # one (C, N, T, K) buffer holds the SINR and then, in place, the RB
+    # bits: a second such array would raise the drop's peak memory
+    bits = np.empty(active.shape + (k_mob,))
     frames = []
     algo_trace = []
 
     for f in range(config.frames):
-        if f > 0:
-            # in place: last frame's SINR buffer becomes the RB bits and
-            # then takes this frame's SINR, since a second (C, N, T, K)
-            # array would raise the drop's peak memory
-            b = slot_sum_capacity(sinr, out=sinr)    # sinr: log2(1 + s)
-            priorities = strategy.step(b, active.any(axis=1))
-            sinr *= rate_scale                               # bits per RB
-            schedule = allocate_cells(priorities, sinr, targets)
-            active = schedule.pi > 0
-            sinr = compute_sinr(gains, active, config.p_rb_w, n0, out=sinr)
-            if config.strategy == "memory":
-                algo_trace.append(AlgoTraceStep(
-                    frame=f, psi=tuple(int(x) for x in strategy.psi[center]),
-                    ranking=tuple(int(t) for t in rank_by_capacity(b[center])),
-                    priority=tuple(int(t) for t in priorities[center])))
+        compute_sinr(gains, active, config.p_rb_w, n0, out=bits)
+        b = slot_sum_capacity(bits, out=bits)        # bits: log2(1 + s)
+        bits *= rate_scale
+        if f == 0:
+            # any all-nonzero assignment works; round-robin over mobiles
+            n_grid, t_grid = np.meshgrid(np.arange(config.subcarriers),
+                                         np.arange(config.slots),
+                                         indexing="ij")
+            pi = (n_grid + t_grid) % k_mob + 1
+            schedule = ScheduleMap(
+                pi=np.broadcast_to(pi, active.shape),
+                bits=bits[:, n_grid, t_grid, pi - 1],
+                infeasible=np.zeros((n_cells, k_mob), dtype=bool))
 
         powers = price_cells(schedule.pi, config)
         sched = schedule.cell(center)
         mask = sched.pi > 0
         owners = sched.pi[mask] - 1
         n_sel, t_sel = np.nonzero(mask)
-        actual_bits = rb_bits(sinr[center][n_sel, t_sel, owners],
-                              config.subcarrier_bw_hz, config.slot_duration_s)
+        actual_bits = bits[center][n_sel, t_sel, owners]
         ok = actual_bits >= sched.bits[mask] * (1.0 - DELIVERY_RTOL)
         delivered = np.zeros(k_mob)
         np.add.at(delivered, owners[ok], sched.bits[mask][ok])
@@ -164,6 +158,17 @@ def run_drop(config: SimConfig, drop_seed) -> DropResult:
             center_power=powers.cell(center),
             scheduled_bits=scheduled, delivered_bits=delivered,
             retransmission=retx, infeasible=sched.infeasible.copy()))
+
+        if f + 1 < config.frames:
+            priorities = strategy.step(b, active.any(axis=1))
+            schedule = allocate_cells(priorities, bits, targets)
+            active = schedule.pi > 0
+            if config.strategy == "memory":
+                algo_trace.append(AlgoTraceStep(
+                    frame=f + 1,
+                    psi=tuple(int(x) for x in strategy.psi[center]),
+                    ranking=tuple(int(t) for t in rank_by_capacity(b[center])),
+                    priority=tuple(int(t) for t in priorities[center])))
     return DropResult(frames=frames, algo_trace=algo_trace)
 
 
@@ -210,30 +215,33 @@ def _map_drops(jobs: list) -> list:
     return list(map(_drop_stats, jobs))
 
 
-def run_experiment(config: SimConfig, rate_sweep) -> list:
-    """Average center-cell metrics over config.drops for each target rate.
+def run_experiment(config: SimConfig, rate_sweep, strategies=None) -> list:
+    """Average center-cell metrics over config.drops for each strategy and
+    target rate, strategy-major; strategies None means [config.strategy].
 
     Drop seeds derive from the master seed alone, so results are
     independent of evaluation order; the same drops (positions, channels)
-    are reused across rates to reduce sweep noise.  The (rate, drop) jobs
-    run on one worker process per usable CPU, and their results are
-    averaged in drop order, so every summary is the same bit for bit on
-    any number of CPUs.
+    are reused across strategies and rates to reduce sweep noise.  The
+    (strategy, rate, drop) jobs run on one worker process per usable CPU,
+    and their results are averaged in drop order, so every summary is the
+    same bit for bit on any number of CPUs.
     """
     drop_seeds = np.random.SeedSequence(config.seed).spawn(config.drops)
-    rates = [float(rate) for rate in rate_sweep]
-    stats = _map_drops([(replace(config, target_rate_mbps=rate), ds, d == 0)
-                        for rate in rates for d, ds in enumerate(drop_seeds)])
+    names = [config.strategy] if strategies is None else strategies
+    configs = [replace(config, strategy=name, target_rate_mbps=float(rate))
+               for name in names for rate in rate_sweep]
+    stats = _map_drops([(cfg, ds, d == 0) for cfg in configs
+                        for d, ds in enumerate(drop_seeds)])
     summaries = []
-    for i, rate in enumerate(rates):
+    for i, cfg in enumerate(configs):
         traces, retx, outage, algo_traces = zip(
             *stats[i * config.drops:(i + 1) * config.drops])
         mean_trace = np.array(traces).mean(axis=0)
         steady_mean = float(mean_trace[config.warmup_frames:].mean())
         summaries.append(RunSummary(
-            strategy=config.strategy,
-            rate_mbps=rate,
-            sum_rate_mbps=rate * config.mobiles_per_cell,
+            strategy=cfg.strategy,
+            rate_mbps=cfg.target_rate_mbps,
+            sum_rate_mbps=cfg.target_rate_mbps * config.mobiles_per_cell,
             mean_power_w=steady_mean,
             power_trace_w=mean_trace,
             retransmission_prob=float(np.mean(retx)),

@@ -37,15 +37,6 @@ class ScheduleMap:
         return out
 
 
-def rb_bits(s, subcarrier_bw_hz: float, slot_duration_s: float):
-    """Shannon bits carried by one RB at linear SINR s."""
-    s = np.asarray(s, dtype=float)
-    if np.any(s < 0):
-        raise ValueError("SINR must be >= 0")
-    out = subcarrier_bw_hz * slot_duration_s * np.log2(1.0 + s)
-    return out if out.ndim else float(out)
-
-
 def rb_order(priority, n_subcarriers: int) -> tuple[np.ndarray, np.ndarray]:
     """Flattened (n, t) consumption order of a priority row (T,), or of
     each row of (C, T): slots by priority, subcarriers ascending within a
@@ -62,14 +53,13 @@ def allocate_cells(priorities: np.ndarray, est_bits: np.ndarray,
     """Greedy sequential fill of every cell's RB grid at once.
 
     priorities[c] is cell c's slot priority row and est_bits[c, n, t, k]
-    the rate RB (n, t) of cell c would carry for its mobile k, e.g.
-    rb_bits of the estimated SINR.  In each cell, mobiles are served in
-    ascending index order; each consumes RBs in the priority order until
-    its per-frame bit target is met, so a zero target takes none.  RBs
-    whose estimated rate is zero for the current mobile are skipped and
-    stay available.  Mobiles whose target cannot be met are marked
-    infeasible (they keep everything they could grab).  Cells never
-    interact: row c equals allocate_from_bits of cell c alone.
+    the rate RB (n, t) of cell c would carry for its mobile k.  In each
+    cell, mobiles are served in ascending index order; each consumes RBs
+    in the priority order until its per-frame bit target is met, so a zero
+    target takes none.  RBs whose estimated rate is zero for the current
+    mobile are skipped and stay available.  Mobiles whose target cannot be
+    met are marked infeasible (they keep everything they could grab).
+    Cells never interact: row c equals allocate_from_bits of cell c alone.
     """
     est_bits = np.asarray(est_bits, dtype=float)
     n_cells, n_sub, n_slots, k_mob = est_bits.shape

@@ -23,6 +23,8 @@ def slot_sum_capacity(sinr: np.ndarray,
     from s[n, t, k] (T,) or from s[c, n, t, k] for every cell (C, T).
     log2(1 + s) is written into `out`, an array of the shape of s, when
     one is given."""
+    if np.any(sinr < 0):
+        raise ValueError("SINR must be >= 0")
     caps = np.log2(np.add(1.0, sinr, out=out), out=out)
     return caps.sum(axis=(-3, -1))
 

@@ -38,12 +38,9 @@ def report(name: str, ok: bool, detail: str = "") -> None:
 @pytest.fixture(scope="session")
 def sweep():
     """(strategy, rate) -> RunSummary at full scale, common drops."""
-    out = {}
-    for strat in STRATEGIES:
-        cfg = SimConfig(strategy=strat, drops=20, frames=50, seed=1)
-        for s in run_experiment(cfg, RATES):
-            out[(strat, s.rate_mbps)] = s
-    return out
+    cfg = SimConfig(drops=20, frames=50, seed=1)
+    return {(s.strategy, s.rate_mbps): s
+            for s in run_experiment(cfg, RATES, STRATEGIES)}
 
 
 def test_ac1_scoring_walkthrough_fidelity(capsys):

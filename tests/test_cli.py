@@ -61,10 +61,12 @@ def test_parse_config_rejects_invalid_values(tmp_path):
 
 @pytest.mark.parametrize("line", [
     "isd_m: .nan",
+    "isd_m: 1.0e-200",
     "slots: 2.0",
     "target_rate_mbps: .nan",
     "bandwidth_hz: .inf",
     "shadowing_std_db: .nan",
+    "shadowing_std_db: 1.0e+6",
     "psi_ul: 2.5",
     "seed: -1",
     "p_rb_w: 0.0",
@@ -88,7 +90,8 @@ EPS = 1e-9
 # where one field bounds another).
 BOUNDS = {
     "tiers": (0, -1),
-    "isd_m": (0.0, EPS),
+    "isd_m": (1e-100, math.nextafter(1e-100, 0.0),
+              1e100, math.nextafter(1e100, math.inf)),
     "mobiles_per_cell": (1, 0),
     "subcarriers": (1, 0),
     "slots": (1, 0),
@@ -103,7 +106,7 @@ BOUNDS = {
     "p_rb_w": (0.0, EPS),
     "bandwidth_hz": (0.0, EPS),
     "noise_temp_k": (0.0, EPS),
-    "shadowing_std_db": (0.0, -EPS),
+    "shadowing_std_db": (0.0, -EPS, 100.0, math.nextafter(100.0, math.inf)),
     "slot_duration_s": (0.0, EPS),
     "frames": (1, 2),                  # warmup_frames is 1
     "drops": (1, 0),

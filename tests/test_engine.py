@@ -1,5 +1,6 @@
 import multiprocessing as mp
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,6 +49,44 @@ def test_frame_zero_power_independent_of_strategy():
         result = run_drop(small_config(strategy=strat), 3)
         np.testing.assert_allclose(result.frames[0].cell_power_w,
                                    _full_load_w(cfg))
+
+
+def _record_compute_sinr(monkeypatch):
+    """Wrap the engine's compute_sinr; the returned list receives a copy of
+    each result as it is computed."""
+    results = []
+    compute_sinr = engine.compute_sinr
+
+    def recording(*args, **kwargs):
+        sinr = compute_sinr(*args, **kwargs)
+        results.append(sinr.copy())
+        return sinr
+
+    monkeypatch.setattr(engine, "compute_sinr", recording)
+    return results
+
+
+def test_one_sinr_per_frame(monkeypatch):
+    results = _record_compute_sinr(monkeypatch)
+    cfg = small_config()
+    run_drop(cfg, 0)
+    assert len(results) == cfg.frames
+
+
+def test_frame_zero_bits_from_its_own_sinr(monkeypatch):
+    results = _record_compute_sinr(monkeypatch)
+    cfg = small_config()
+    first = run_drop(cfg, 0).frames[0]
+    center = build_hex_layout(cfg.tiers, cfg.isd_m).center_cell_index
+    s = results[0][center]
+    n, t = np.meshgrid(np.arange(cfg.subcarriers), np.arange(cfg.slots),
+                       indexing="ij")
+    owner = (n + t) % cfg.mobiles_per_cell          # round-robin, 0-based
+    rate_scale = cfg.subcarrier_bw_hz * cfg.slot_duration_s
+    for k in range(cfg.mobiles_per_cell):
+        mine = owner == k
+        want = rate_scale * np.log2(1.0 + s[n[mine], t[mine], k]).sum()
+        assert first.scheduled_bits[k] == pytest.approx(want, rel=1e-12)
 
 
 def test_drop_determinism():
@@ -193,6 +232,16 @@ def test_pooled_run_experiment_equals_serial(strategy, monkeypatch):
     serial = run_experiment(cfg, rates)
     monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
     _assert_same_summaries(run_experiment(cfg, rates), serial)
+
+
+def test_one_call_over_strategies_equals_per_strategy_calls(monkeypatch):
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+    cfg = small_config(strategy="sequential", drops=2, seed=3)
+    rates = [0.3, 0.8]
+    names = ["random", "memory"]
+    per_strategy = [s for name in names
+                    for s in run_experiment(replace(cfg, strategy=name), rates)]
+    _assert_same_summaries(run_experiment(cfg, rates, names), per_strategy)
 
 
 class DropFailure(RuntimeError):

@@ -1,29 +1,14 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtxalign.config import SimConfig
 from dtxalign.power import total_power
 from dtxalign.scheduler import (ScheduleMap, allocate_cells,
-                                allocate_from_bits, rb_bits, rb_order)
+                                allocate_from_bits, rb_order)
 
 BW = 200e3
 DT = 1e-3
-
-
-def test_rb_bits_examples():
-    assert rb_bits(0.0, BW, DT) == 0.0
-    assert rb_bits(1.0, BW, DT) == pytest.approx(200.0)
-    assert rb_bits(3.0, BW, DT) == pytest.approx(400.0)
-    assert rb_bits(15.0, BW, DT) == pytest.approx(800.0)
-
-
-def test_rb_bits_vectorized_and_validated():
-    out = rb_bits(np.array([0.0, 3.0]), BW, DT)
-    np.testing.assert_allclose(out, [0.0, 400.0])
-    with pytest.raises(ValueError):
-        rb_bits(-0.1, BW, DT)
 
 
 def test_rb_order():
@@ -183,7 +168,7 @@ def test_high_priority_slots_fill_first():
 
 def test_allocate_wraps_sinr():
     est_sinr = np.full((2, 1, 1), 3.0)     # 400 bits per RB
-    sched = allocate_from_bits((0,), rb_bits(est_sinr, BW, DT),
+    sched = allocate_from_bits((0,), BW * DT * np.log2(1.0 + est_sinr),
                                np.array([700.0]))
     assert sched.num_scheduled_rbs == 2
     assert not sched.infeasible[0]

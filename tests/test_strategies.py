@@ -32,6 +32,18 @@ def test_sum_capacity_exact_logs():
     assert slot_sum_capacity(s)[0] == pytest.approx(3.0)
 
 
+def test_sum_capacity_examples():
+    for s, bits in ((0.0, 0.0), (1.0, 1.0), (3.0, 2.0), (15.0, 4.0)):
+        assert slot_sum_capacity(np.full((1, 1, 1), s))[0] == bits
+
+
+def test_sum_capacity_rejects_negative_sinr():
+    s = np.ones((2, 3, 2))
+    s[1, 2, 0] = -0.1
+    with pytest.raises(ValueError, match="SINR must be >= 0"):
+        slot_sum_capacity(s)
+
+
 def test_sum_capacity_matches_brute_force():
     rng = np.random.default_rng(2)
     s = rng.exponential(2.0, size=(5, 4, 3))

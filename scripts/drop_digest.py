@@ -5,8 +5,11 @@ The digest covers every `FrameMetrics` field of every frame and the
 `algo_trace` of each drop, for tiers 1 and 2, all four strategies,
 target rates 0.5/1/2/3 Mbps and drop seeds 0 and 5 (64 drops).  Two
 checkouts that print the same digest simulate these drops identically,
-bit for bit.  The package is imported from the `src/` tree beside this
-script, so the digest belongs to the checkout the script sits in:
+bit for bit.  The number of drops replayed from a repeated state
+(`DropResult.cycle`) goes to stderr, so a change that disables the
+replay shows there while the digest stays put.  The package is imported
+from the `src/` tree beside this script, so the digest belongs to the
+checkout the script sits in:
 
     python3 scripts/drop_digest.py
 """
@@ -52,6 +55,7 @@ def feed(h, value) -> None:
 
 def main() -> int:
     h = hashlib.sha256()
+    drops = replayed = 0
     for tiers in TIERS:
         for strategy in STRATEGIES:
             for rate in RATES_MBPS:
@@ -62,7 +66,10 @@ def main() -> int:
                     feed(h, (tiers, strategy, rate, seed))
                     feed(h, result.frames)
                     feed(h, result.algo_trace)
+                    drops += 1
+                    replayed += result.cycle is not None
     print(h.hexdigest())
+    print(f"{replayed} of {drops} drops replayed", file=sys.stderr)
     return 0
 
 

@@ -22,7 +22,11 @@ DELIVERY_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class FrameMetrics:
-    """Per-frame record; per-mobile fields refer to the center cell."""
+    """Per-frame record; per-mobile fields refer to the center cell.
+
+    Its arrays are made read-only when it is built: a replayed frame
+    shares them with the frame one period earlier.
+    """
 
     frame: int
     cell_power_w: np.ndarray       # (C,) total power of every cell
@@ -31,6 +35,11 @@ class FrameMetrics:
     delivered_bits: np.ndarray     # (K,)
     retransmission: np.ndarray     # (K,) bool: delivered < target
     infeasible: np.ndarray         # (K,) bool: target not schedulable
+
+    def __post_init__(self):
+        for a in (self.cell_power_w, self.scheduled_bits, self.delivered_bits,
+                  self.retransmission, self.infeasible):
+            a.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -47,6 +56,7 @@ class AlgoTraceStep:
 class DropResult:
     frames: list
     algo_trace: list
+    cycle: tuple | None = None     # (frame found, period) if replayed
 
 
 @dataclass(frozen=True)
@@ -97,6 +107,14 @@ def run_drop(config: SimConfig, drop_seed) -> DropResult:
        delivered where the realized rate carries them;
     5. unless this is the last frame, the slots ranked from step 2's
        capacities and the next frame's schedules filled from its bits.
+
+    The schedules and the strategy state at the top of a frame after
+    frame 0 decide every later frame.  That state is saved at frames 1,
+    2, 4, 8, ... (Brent's checkpoints) and compared exactly with each
+    frame's.  Once it equals the state saved `period` frames earlier, the
+    remaining frames repeat those already simulated, and they are copied
+    from them instead.  A strategy that draws from its RNGs never
+    repeats, so its drop runs every frame.
     """
     seq = drop_seed if isinstance(drop_seed, np.random.SeedSequence) \
         else np.random.SeedSequence(drop_seed)
@@ -126,8 +144,22 @@ def run_drop(config: SimConfig, drop_seed) -> DropResult:
     bits = np.empty(active.shape + (k_mob,))
     frames = []
     algo_trace = []
+    saved = None
 
     for f in range(config.frames):
+        if f > 0:
+            state = _drop_state(schedule, strategy)
+            if saved is not None and _same_state(state, saved[1]):
+                period = f - saved[0]
+                for g in range(f, config.frames):
+                    frames.append(replace(frames[g - period], frame=g))
+                    if algo_trace and g + 1 < config.frames:
+                        algo_trace.append(
+                            replace(algo_trace[g - period], frame=g + 1))
+                return DropResult(frames=frames, algo_trace=algo_trace,
+                                  cycle=(f, period))
+            if f & (f - 1) == 0:
+                saved = (f, state)
         compute_sinr(gains, active, config.p_rb_w, n0, out=bits)
         b = slot_sum_capacity(bits, out=bits)        # bits: log2(1 + s)
         bits *= rate_scale
@@ -172,6 +204,22 @@ def run_drop(config: SimConfig, drop_seed) -> DropResult:
     return DropResult(frames=frames, algo_trace=algo_trace)
 
 
+def _drop_state(schedule: ScheduleMap, strategy: SlotPriorities) -> tuple:
+    """Everything the rest of a drop depends on at the top of a frame after
+    frame 0, by reference: allocation and the strategy step build their
+    arrays afresh.  The RNG states come first, so that a strategy which
+    draws fails the comparison fast."""
+    return ([rng.bit_generator.state for rng in strategy.rngs],
+            schedule.pi, schedule.bits, schedule.infeasible,
+            strategy.psi, strategy.prev)
+
+
+def _same_state(a: tuple, b: tuple) -> bool:
+    """Whether two _drop_state tuples are exactly equal."""
+    return a[0] == b[0] and all(np.array_equal(x, y)
+                                for x, y in zip(a[1:], b[1:]))
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on (`taskset` narrows them); one where the
     platform has no CPU affinity."""
@@ -193,8 +241,20 @@ def _drop_stats(task) -> tuple:
             result.algo_trace if keep_algo_trace else None)
 
 
+def _drop_stats_share(jobs: list) -> list:
+    """_drop_stats of each job of one worker's share, in order."""
+    return [_drop_stats(job) for job in jobs]
+
+
 def _map_drops(jobs: list) -> list:
     """_drop_stats of every job, in job order, on one worker per usable CPU.
+
+    Worker w runs the fixed share of jobs w, w + workers, w + 2 * workers,
+    ...; interleaving mixes neighbouring jobs (same strategy and rate)
+    over all workers.  A replayed drop stops early, so drops differ in
+    cost: if each job went to whichever worker freed up first, the split,
+    and with it a command's wall time, would change from run to run of
+    the same drops.
 
     Workers are forked, not spawned: a spawned worker imports numpy and
     this package afresh, which takes about as long as a 7-cell run.  The
@@ -211,7 +271,13 @@ def _map_drops(jobs: list) -> list:
         if ("fork" in mp.get_all_start_methods()
                 and not mp.current_process().daemon):
             with mp.get_context("fork").Pool(workers) as pool:
-                return pool.map(_drop_stats, jobs, chunksize=1)
+                shares = pool.map(_drop_stats_share,
+                                  [jobs[w::workers] for w in range(workers)],
+                                  chunksize=1)
+            stats = [None] * len(jobs)
+            for w, share in enumerate(shares):
+                stats[w::workers] = share
+            return stats
     return list(map(_drop_stats, jobs))
 
 

@@ -1,6 +1,7 @@
 import multiprocessing as mp
 import os
-from dataclasses import replace
+import time
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from dtxalign.engine import (FrameMetrics, convergence_frame,
                              run_experiment)
 from dtxalign.geometry import build_hex_layout
 from dtxalign.power import PowerBreakdown
+from dtxalign.scheduler import ScheduleMap
+from dtxalign.strategies import SlotPriorities
 
 SMALL = dict(tiers=1, mobiles_per_cell=4, subcarriers=10, slots=5,
              frames=15, warmup_frames=5, drops=2)
@@ -71,6 +74,102 @@ def test_one_sinr_per_frame(monkeypatch):
     cfg = small_config()
     run_drop(cfg, 0)
     assert len(results) == cfg.frames
+
+
+def _assert_same_drop(got, want):
+    """Every FrameMetrics field and algo_trace step equal, bit for bit."""
+    assert len(got.frames) == len(want.frames)
+    for a, b in zip(got.frames, want.frames):
+        for f in fields(FrameMetrics):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            if isinstance(y, np.ndarray):
+                assert (x.dtype, x.shape) == (y.dtype, y.shape), f.name
+                assert x.tobytes() == y.tobytes(), f.name
+            else:
+                assert x == y, f.name
+    assert got.algo_trace == want.algo_trace
+
+
+def test_replay_equals_full_simulation(monkeypatch):
+    cases = [(small_config(strategy=strat, target_rate_mbps=rate), seed)
+             for strat in STRATEGIES for rate in (0.5, 1.0)
+             for seed in (0, 1, 2)]
+    # a 37-cell drop whose period (24 frames) spans several checkpoints
+    cases.append((SimConfig(tiers=3, frames=200, strategy="memory",
+                            target_rate_mbps=1.0), 6))
+    replayed = [run_drop(cfg, seed) for cfg, seed in cases]
+    monkeypatch.setattr(engine, "_same_state", lambda a, b: False)
+    for (cfg, seed), got in zip(cases, replayed):
+        full = run_drop(cfg, seed)
+        assert full.cycle is None
+        _assert_same_drop(got, full)
+    cycled = {cfg.strategy for (cfg, _), got in zip(cases, replayed)
+              if got.cycle is not None}
+    assert {"sequential", "memory"} <= cycled
+    assert replayed[-1].cycle[1] > 2
+
+
+def test_replay_skips_the_sinr_of_repeated_frames(monkeypatch):
+    results = _record_compute_sinr(monkeypatch)
+    cfg = small_config(strategy="memory", target_rate_mbps=0.5, frames=40)
+    result = run_drop(cfg, 0)
+    found, period = result.cycle
+    assert found + period <= cfg.frames
+    assert len(results) == found
+    assert len(result.frames) == cfg.frames
+    assert len(result.algo_trace) == cfg.frames - 1
+
+
+@pytest.mark.parametrize("strategy", ["random", "p_persistent"])
+def test_drawing_strategies_run_every_frame(strategy, monkeypatch):
+    results = _record_compute_sinr(monkeypatch)
+    cfg = small_config(strategy=strategy, target_rate_mbps=0.5, frames=40)
+    assert run_drop(cfg, 0).cycle is None
+    assert len(results) == cfg.frames
+
+
+def test_drop_state_differs_in_each_component():
+    cfg = small_config(strategy="p_persistent")
+    grid = (3, cfg.subcarriers, cfg.slots)
+    b = np.arange(3 * cfg.slots, dtype=float).reshape(3, cfg.slots)
+
+    def state(edit=None):
+        sched = ScheduleMap(pi=np.ones(grid, dtype=int), bits=np.ones(grid),
+                            infeasible=np.zeros((3, cfg.mobiles_per_cell),
+                                                dtype=bool))
+        strategy = SlotPriorities(cfg, [np.random.default_rng(c)
+                                        for c in range(3)])
+        for _ in range(2):
+            strategy.step(b, np.ones((3, cfg.slots), dtype=bool))
+        if edit is not None:
+            edit(sched, strategy)
+        return engine._drop_state(sched, strategy)
+
+    def bump(array):
+        array.flat[-1] += 1
+
+    edits = {
+        "pi": lambda sched, _: bump(sched.pi),
+        "bits": lambda sched, _: bump(sched.bits),
+        "infeasible": lambda sched, _: bump(sched.infeasible),
+        "psi": lambda _, strategy: bump(strategy.psi),
+        "prev": lambda _, strategy: setattr(strategy, "prev",
+                                            strategy.prev[:, ::-1]),
+        "rng": lambda _, strategy: strategy.rngs[-1].random(),
+    }
+    base = state()
+    assert engine._same_state(state(), base)
+    for name, edit in edits.items():
+        assert not engine._same_state(state(edit), base), name
+        assert not engine._same_state(base, state(edit)), name
+
+
+def test_frame_arrays_read_only():
+    fm = run_drop(small_config(), 0).frames[3]
+    for name in ("cell_power_w", "scheduled_bits", "delivered_bits",
+                 "retransmission", "infeasible"):
+        with pytest.raises(ValueError):
+            getattr(fm, name)[0] = 1
 
 
 def test_frame_zero_bits_from_its_own_sinr(monkeypatch):
@@ -242,6 +341,22 @@ def test_one_call_over_strategies_equals_per_strategy_calls(monkeypatch):
     per_strategy = [s for name in names
                     for s in run_experiment(replace(cfg, strategy=name), rates)]
     _assert_same_summaries(run_experiment(cfg, rates, names), per_strategy)
+
+
+def test_workers_run_fixed_interleaved_shares(monkeypatch):
+    # job 0 is slow: a worker that took the next free job would leave
+    # the other worker most of jobs 1-6
+    def job_stats(job):
+        time.sleep(0.3 if job == 0 else 0.02)
+        return job, os.getpid()
+
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(engine, "_drop_stats", job_stats)
+    got = engine._map_drops(list(range(7)))
+    assert [job for job, _ in got] == list(range(7))
+    pids = [pid for _, pid in got]
+    assert os.getpid() not in pids
+    assert len(set(pids[0::2])) == 1 and len(set(pids[1::2])) == 1
 
 
 class DropFailure(RuntimeError):

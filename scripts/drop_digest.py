@@ -1,15 +1,14 @@
 #!/usr/bin/env python3
 """Print one SHA-256 over the full record of a fixed set of drops.
 
-The digest covers every `FrameMetrics` field of every frame and the
-`algo_trace` of each drop, for tiers 1 and 2, all four strategies,
-target rates 0.5/1/2/3 Mbps and drop seeds 0 and 5 (64 drops).  Two
-checkouts that print the same digest simulate these drops identically,
-bit for bit.  The number of drops replayed from a repeated state
-(`DropResult.cycle`) goes to stderr, so a change that disables the
-replay shows there while the digest stays put.  The package is imported
-from the `src/` tree beside this script, so the digest belongs to the
-checkout the script sits in:
+The digest covers every array field of each drop's `DropResult`, by
+name, for tiers 1 and 2, all four strategies, target rates 0.5/1/2/3
+Mbps and drop seeds 0 and 5 (64 drops).  Two checkouts that print the
+same digest simulate these drops identically, bit for bit.  The number
+of drops replayed from a repeated state (`DropResult.cycle`) goes to
+stderr, so a change that disables the replay shows there while the
+digest stays put.  The package is imported from the `src/` tree beside
+this script, so the digest belongs to the checkout the script sits in:
 
     python3 scripts/drop_digest.py
 """
@@ -31,26 +30,15 @@ RATES_MBPS = (0.5, 1.0, 2.0, 3.0)
 DROP_SEEDS = (0, 5)
 
 
-def feed(h, value) -> None:
-    """Hash a value by type and exact contents: arrays by dtype, shape and
-    bytes, numpy scalars as the Python number they hold, floats through
-    repr, which round-trips every bit."""
-    if dataclasses.is_dataclass(value):
-        h.update(type(value).__name__.encode())
-        for f in dataclasses.fields(value):
-            h.update(f.name.encode())
-            feed(h, getattr(value, f.name))
-    elif isinstance(value, np.ndarray):
-        h.update(f"{value.dtype.str}{value.shape}".encode())
-        h.update(np.ascontiguousarray(value).tobytes())
-    elif isinstance(value, np.generic):
-        feed(h, value.item())
-    elif isinstance(value, (list, tuple)):
-        h.update(f"{type(value).__name__}{len(value)}".encode())
-        for item in value:
-            feed(h, item)
-    else:
-        h.update(f"{type(value).__name__}:{value!r};".encode())
+def feed(h, drop_id: tuple, result) -> None:
+    """Hash a drop's id, through repr, and every array field of its result
+    by name, dtype, shape and bytes."""
+    h.update(f"{drop_id!r};".encode())
+    for f in dataclasses.fields(result):
+        value = getattr(result, f.name)
+        if isinstance(value, np.ndarray):
+            h.update(f"{f.name}:{value.dtype.str}{value.shape}".encode())
+            h.update(np.ascontiguousarray(value).tobytes())
 
 
 def main() -> int:
@@ -63,9 +51,7 @@ def main() -> int:
                                    target_rate_mbps=rate)
                 for seed in DROP_SEEDS:
                     result = run_drop(config, seed)
-                    feed(h, (tiers, strategy, rate, seed))
-                    feed(h, result.frames)
-                    feed(h, result.algo_trace)
+                    feed(h, (tiers, strategy, rate, seed), result)
                     drops += 1
                     replayed += result.cycle is not None
     print(h.hexdigest())

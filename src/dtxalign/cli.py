@@ -12,7 +12,7 @@ import numpy as np
 import yaml
 
 from dtxalign.config import CONFIG_FIELD_NAMES, STRATEGIES, SimConfig
-from dtxalign.engine import AlgoTraceStep, run_experiment
+from dtxalign.engine import run_experiment
 from dtxalign.output import write_algo_trace, write_sweep, write_trace
 from dtxalign.strategies import memory_update
 
@@ -164,19 +164,20 @@ DEMO_STEPS = [
 ]
 
 
-def trace_algorithm_steps(n_steps: int) -> list:
+def trace_algorithm_steps(n_steps: int) -> tuple:
     """Replay the built-in three-slot scoring walkthrough.
 
     Steps beyond the scripted three repeat the last input, showing the
-    scores settling.  Returns AlgoTraceStep records with 0-based slot
-    indices (a=0, b=1, c=2).
+    scores settling.  Returns the (n_steps, 3) psi, ranking and priority
+    arrays, row i being step i + 1, with 0-based slot indices (a=0, b=1,
+    c=2).
     """
     if n_steps < 1:
         raise CliError("steps must be >= 1")
     index = {lab: i for i, lab in enumerate(DEMO_LABELS)}
     n_slots = len(DEMO_LABELS)
     psi = np.array([DEMO_PSI0[lab] for lab in DEMO_LABELS], dtype=int)
-    steps = []
+    trace = np.empty((3, n_steps, n_slots), dtype=int)
     for i in range(n_steps):
         used_labels, rank_labels = DEMO_STEPS[min(i, len(DEMO_STEPS) - 1)]
         used = np.zeros(n_slots, dtype=bool)
@@ -185,25 +186,21 @@ def trace_algorithm_steps(n_steps: int) -> list:
         b = np.empty(n_slots)
         for rank, lab in enumerate(rank_labels):
             b[index[lab]] = n_slots - rank
-        ranking = tuple(index[lab] for lab in rank_labels)
         psi, priority = memory_update(psi, used, b, DEMO_PSI_UL, DEMO_PSI_LL)
-        steps.append(AlgoTraceStep(frame=i + 1,
-                                   psi=tuple(int(x) for x in psi),
-                                   ranking=ranking,
-                                   priority=tuple(int(t) for t in priority)))
-    return steps
+        trace[:, i] = psi, [index[lab] for lab in rank_labels], priority
+    return tuple(trace)
 
 
 def cmd_trace_algorithm(args) -> None:
-    steps = trace_algorithm_steps(args.steps)
-    for st in steps:
-        psi_str = ",".join(f"{DEMO_LABELS[t]}:{st.psi[t]}"
-                           for t in range(len(DEMO_LABELS)))
-        v_str = ",".join(DEMO_LABELS[t] for t in st.priority)
-        print(f"step {st.frame}: psi={{{psi_str}}} V=({v_str})")
+    trace = trace_algorithm_steps(args.steps)
+    psi, _, priority = trace
+    for i, (p, v) in enumerate(zip(psi, priority)):
+        psi_str = ",".join(f"{lab}:{x}" for lab, x in zip(DEMO_LABELS, p))
+        v_str = ",".join(DEMO_LABELS[t] for t in v)
+        print(f"step {i + 1}: psi={{{psi_str}}} V=({v_str})")
     if args.out is not None:
         _prepare_outdir(args.out)
-        write_algo_trace(steps, args.out, "demo", labels=DEMO_LABELS)
+        write_algo_trace(trace, args.out, "demo", labels=DEMO_LABELS)
 
 
 def build_parser() -> argparse.ArgumentParser:

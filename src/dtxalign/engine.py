@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
 from dtxalign.channel import build_link_gains, compute_sinr, noise_power
 from dtxalign.config import SimConfig
 from dtxalign.geometry import build_hex_layout, drop_mobiles
-from dtxalign.power import PowerBreakdown, price_cells
+from dtxalign.power import price_cells
 from dtxalign.scheduler import ScheduleMap, allocate_cells
 from dtxalign.strategies import (SlotPriorities, rank_by_capacity,
                                  slot_sum_capacity)
@@ -21,42 +22,31 @@ DELIVERY_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
-class FrameMetrics:
-    """Per-frame record; per-mobile fields refer to the center cell.
+class DropResult:
+    """The record of one drop, frame-major: row f of each array is frame f.
 
-    Its arrays are made read-only when it is built: a replayed frame
-    shares them with the frame one period earlier.
+    Per-mobile arrays and the slot rows refer to the center cell, cell 0.
+    Row f of `psi`, `ranking` and `priority` is the strategy step at the
+    end of frame f, which sets up frame f + 1; `psi` stays at `psi_ll`
+    for every strategy but memory.
     """
 
-    frame: int
-    cell_power_w: np.ndarray       # (C,) total power of every cell
-    center_power: PowerBreakdown
-    scheduled_bits: np.ndarray     # (K,)
-    delivered_bits: np.ndarray     # (K,)
-    retransmission: np.ndarray     # (K,) bool: delivered < target
-    infeasible: np.ndarray         # (K,) bool: target not schedulable
-
-    def __post_init__(self):
-        for a in (self.cell_power_w, self.scheduled_bits, self.delivered_bits,
-                  self.retransmission, self.infeasible):
-            a.flags.writeable = False
-
-
-@dataclass(frozen=True)
-class AlgoTraceStep:
-    """Memory-strategy internals of the center cell for one frame."""
-
-    frame: int
-    psi: tuple
-    ranking: tuple
-    priority: tuple
-
-
-@dataclass(frozen=True)
-class DropResult:
-    frames: list
-    algo_trace: list
+    cell_power_w: np.ndarray       # (F, C) total power of every cell
+    scheduled_bits: np.ndarray     # (F, K)
+    delivered_bits: np.ndarray     # (F, K)
+    retransmission: np.ndarray     # (F, K) bool: delivered < target
+    infeasible: np.ndarray         # (F, K) bool: target not schedulable
+    psi: np.ndarray                # (F - 1, T) memory scores
+    ranking: np.ndarray            # (F - 1, T) slots by capacity
+    priority: np.ndarray           # (F - 1, T) slot priority row
     cycle: tuple | None = None     # (frame found, period) if replayed
+
+    @property
+    def frames(self) -> list:
+        """Entry f holds frame f's row of `cell_power_w` as an attribute
+        of that name: `perfbench` reads a drop's frame-0 powers as
+        `frames[0].cell_power_w`.  New code indexes the arrays."""
+        return [SimpleNamespace(cell_power_w=p) for p in self.cell_power_w]
 
 
 @dataclass(frozen=True)
@@ -69,7 +59,7 @@ class RunSummary:
     retransmission_prob: float
     outage_rate: float
     convergence_frame: int         # 1% band
-    algo_trace: list               # AlgoTraceSteps of the first drop
+    algo_trace: tuple              # psi, ranking, priority of drop 0
 
 
 def convergence_frame(trace: np.ndarray, rel_tol: float) -> int:
@@ -84,17 +74,19 @@ def convergence_frame(trace: np.ndarray, rel_tol: float) -> int:
     return idx
 
 
-def retransmission_probability(frames: list) -> float:
+def retransmission_probability(retransmission: np.ndarray,
+                               infeasible: np.ndarray) -> float:
     """Fraction of (frame, center-cell mobile) pairs flagged for
-    retransmission; infeasible mobiles count as flagged."""
-    if not frames:
+    retransmission, from (F, K) flags; infeasible mobiles count as
+    flagged."""
+    flags = retransmission | infeasible
+    if not flags.size:
         raise ValueError("no frames")
-    flags = np.array([fm.retransmission | fm.infeasible for fm in frames])
     return float(flags.mean())
 
 
 def run_drop(config: SimConfig, drop_seed) -> DropResult:
-    """Simulate one Monte-Carlo drop.
+    """Simulate one Monte-Carlo drop into the arrays of its DropResult.
 
     Every frame works on arrays over the cell axis and runs one body:
     1. the SINR of this frame's transmit pattern, every cell at once;
@@ -107,14 +99,15 @@ def run_drop(config: SimConfig, drop_seed) -> DropResult:
        delivered where the realized rate carries them;
     5. unless this is the last frame, the slots ranked from step 2's
        capacities and the next frame's schedules filled from its bits.
+    Frame f fills row f of the record's arrays in place.
 
     The schedules and the strategy state at the top of a frame after
     frame 0 decide every later frame.  That state is saved at frames 1,
     2, 4, 8, ... (Brent's checkpoints) and compared exactly with each
     frame's.  Once it equals the state saved `period` frames earlier, the
-    remaining frames repeat those already simulated, and they are copied
-    from them instead.  A strategy that draws from its RNGs never
-    repeats, so its drop runs every frame.
+    remaining rows repeat those already simulated, and each array's are
+    filled by one periodic copy instead.  A strategy that draws from its
+    RNGs never repeats, so its drop runs every frame.
     """
     seq = drop_seed if isinstance(drop_seed, np.random.SeedSequence) \
         else np.random.SeedSequence(drop_seed)
@@ -135,29 +128,27 @@ def run_drop(config: SimConfig, drop_seed) -> DropResult:
     strategy = SlotPriorities(config, strat_rngs)
     k_mob = config.mobiles_per_cell
     targets = np.full(k_mob, config.target_bits_per_frame)
-    center = layout.center_cell_index
     rate_scale = config.subcarrier_bw_hz * config.slot_duration_s
 
-    active = np.ones((n_cells, config.subcarriers, config.slots), dtype=bool)
+    n_frames, n_slots = config.frames, config.slots
+    power = np.empty((n_frames, n_cells))
+    scheduled = np.empty((n_frames, k_mob))
+    delivered = np.zeros((n_frames, k_mob))
+    infeasible = np.empty((n_frames, k_mob), dtype=bool)
+    psi, ranking, priority = (np.empty((n_frames - 1, n_slots), dtype=int)
+                              for _ in range(3))
+    active = np.ones((n_cells, config.subcarriers, n_slots), dtype=bool)
     # one (C, N, T, K) buffer holds the SINR and then, in place, the RB
     # bits: a second such array would raise the drop's peak memory
     bits = np.empty(active.shape + (k_mob,))
-    frames = []
-    algo_trace = []
-    saved = None
+    cycle = saved = None
 
-    for f in range(config.frames):
+    for f in range(n_frames):
         if f > 0:
             state = _drop_state(schedule, strategy)
             if saved is not None and _same_state(state, saved[1]):
-                period = f - saved[0]
-                for g in range(f, config.frames):
-                    frames.append(replace(frames[g - period], frame=g))
-                    if algo_trace and g + 1 < config.frames:
-                        algo_trace.append(
-                            replace(algo_trace[g - period], frame=g + 1))
-                return DropResult(frames=frames, algo_trace=algo_trace,
-                                  cycle=(f, period))
+                cycle = (f, f - saved[0])
+                break
             if f & (f - 1) == 0:
                 saved = (f, state)
         compute_sinr(gains, active, config.p_rb_w, n0, out=bits)
@@ -166,42 +157,42 @@ def run_drop(config: SimConfig, drop_seed) -> DropResult:
         if f == 0:
             # any all-nonzero assignment works; round-robin over mobiles
             n_grid, t_grid = np.meshgrid(np.arange(config.subcarriers),
-                                         np.arange(config.slots),
-                                         indexing="ij")
+                                         np.arange(n_slots), indexing="ij")
             pi = (n_grid + t_grid) % k_mob + 1
             schedule = ScheduleMap(
                 pi=np.broadcast_to(pi, active.shape),
                 bits=bits[:, n_grid, t_grid, pi - 1],
                 infeasible=np.zeros((n_cells, k_mob), dtype=bool))
 
-        powers = price_cells(schedule.pi, config)
-        sched = schedule.cell(center)
+        power[f] = price_cells(schedule.pi, config).total_w
+        sched = schedule.cell(0)
         mask = sched.pi > 0
         owners = sched.pi[mask] - 1
         n_sel, t_sel = np.nonzero(mask)
-        actual_bits = bits[center][n_sel, t_sel, owners]
+        actual_bits = bits[0][n_sel, t_sel, owners]
         ok = actual_bits >= sched.bits[mask] * (1.0 - DELIVERY_RTOL)
-        delivered = np.zeros(k_mob)
-        np.add.at(delivered, owners[ok], sched.bits[mask][ok])
-        scheduled = sched.scheduled_bits_per_mobile(k_mob)
-        retx = delivered < targets * (1.0 - DELIVERY_RTOL)
-        frames.append(FrameMetrics(
-            frame=f, cell_power_w=powers.total_w,
-            center_power=powers.cell(center),
-            scheduled_bits=scheduled, delivered_bits=delivered,
-            retransmission=retx, infeasible=sched.infeasible.copy()))
+        np.add.at(delivered[f], owners[ok], sched.bits[mask][ok])
+        scheduled[f] = sched.scheduled_bits_per_mobile(k_mob)
+        infeasible[f] = sched.infeasible
 
-        if f + 1 < config.frames:
+        if f + 1 < n_frames:
             priorities = strategy.step(b, active.any(axis=1))
             schedule = allocate_cells(priorities, bits, targets)
             active = schedule.pi > 0
-            if config.strategy == "memory":
-                algo_trace.append(AlgoTraceStep(
-                    frame=f + 1,
-                    psi=tuple(int(x) for x in strategy.psi[center]),
-                    ranking=tuple(int(t) for t in rank_by_capacity(b[center])),
-                    priority=tuple(int(t) for t in priorities[center])))
-    return DropResult(frames=frames, algo_trace=algo_trace)
+            psi[f] = strategy.psi[0]
+            ranking[f] = rank_by_capacity(b[0])
+            priority[f] = priorities[0]
+
+    if cycle is not None:
+        f, period = cycle
+        for a in (power, scheduled, delivered, infeasible, psi, ranking,
+                  priority):
+            a[f:] = a[f - period + np.arange(len(a) - f) % period]
+    return DropResult(
+        cell_power_w=power, scheduled_bits=scheduled, delivered_bits=delivered,
+        retransmission=delivered < targets * (1.0 - DELIVERY_RTOL),
+        infeasible=infeasible, psi=psi, ranking=ranking, priority=priority,
+        cycle=cycle)
 
 
 def _drop_state(schedule: ScheduleMap, strategy: SlotPriorities) -> tuple:
@@ -231,14 +222,17 @@ def _drop_stats(task) -> tuple:
     """Simulate one (config, drop seed, keep algorithm trace) job of
     run_experiment and return only what its summary needs: the center
     cell's power trace, the steady-state retransmission and outage rates,
-    and the algorithm trace if asked for, else None."""
+    and the center cell's psi, ranking and priority rows if asked for,
+    else None."""
     config, drop_seed, keep_algo_trace = task
     result = run_drop(config, drop_seed)
-    steady = result.frames[config.warmup_frames:]
-    return (np.array([fm.center_power.total_w for fm in result.frames]),
-            retransmission_probability(steady),
-            float(np.mean([fm.infeasible for fm in steady])),
-            result.algo_trace if keep_algo_trace else None)
+    w = config.warmup_frames
+    return (result.cell_power_w[:, 0],
+            retransmission_probability(result.retransmission[w:],
+                                       result.infeasible[w:]),
+            float(result.infeasible[w:].mean()),
+            (result.psi, result.ranking, result.priority)
+            if keep_algo_trace else None)
 
 
 def _drop_stats_share(jobs: list) -> list:

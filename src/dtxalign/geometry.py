@@ -16,7 +16,6 @@ class NetworkLayout:
 
     cell_positions: np.ndarray  # (C, 2) meters
     intersite_distance: float
-    center_cell_index: int = 0
 
     @property
     def num_cells(self) -> int:

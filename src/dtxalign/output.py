@@ -51,26 +51,24 @@ def write_trace(summaries: list, outdir: str, config_hash: str,
     return path
 
 
-def write_algo_trace(steps: list, outdir: str, config_hash: str,
+def write_algo_trace(trace: tuple, outdir: str, config_hash: str,
                      labels: list | None = None,
                      filename: str = "algorithm_trace.csv") -> str:
-    """Per-frame score map, capacity ranking and priority of the memory
-    strategy.  Slot sequences are pipe-joined; labels default to 1-based
-    slot numbers."""
-    if not steps:
-        raise ValueError("no trace steps to write")
-    n_slots = len(steps[0].psi)
+    """Per-frame score map, capacity ranking and priority, one row per row
+    of the (psi, ranking, priority) arrays of `trace`, each (steps, T);
+    row i is frame i + 1.  Slot sequences are pipe-joined; labels default
+    to 1-based slot numbers."""
+    psi, ranking, priority = (a.tolist() for a in trace)
     if labels is None:
-        labels = [str(t + 1) for t in range(n_slots)]
+        labels = [str(t + 1) for t in range(trace[0].shape[1])]
 
     def slots(seq):
         return "|".join(labels[t] for t in seq)
 
     header = ["frame", "psi", "ranking", "priority"]
-    rows = []
-    for st in steps:
-        psi_str = "|".join(f"{labels[t]}:{st.psi[t]}" for t in range(n_slots))
-        rows.append((st.frame, psi_str, slots(st.ranking), slots(st.priority)))
+    rows = [(i + 1, "|".join(f"{lab}:{x}" for lab, x in zip(labels, p)),
+             slots(r), slots(v))
+            for i, (p, r, v) in enumerate(zip(psi, ranking, priority))]
     path = os.path.join(outdir, filename)
     _write_table(path, config_hash, header, rows)
     return path

@@ -44,13 +44,14 @@ def sweep():
 
 
 def test_ac1_scoring_walkthrough_fidelity(capsys):
-    steps = trace_algorithm_steps(3)
+    psi, _, priority = trace_algorithm_steps(3)
     expected = [
         ((0, 3, 5), (2, 1, 0)),   # psi {a:0,b:3,c:5}, V=(c,b,a)
         ((0, 5, 5), (1, 2, 0)),   # psi {a:0,b:5,c:5}, V=(b,c,a)
         ((0, 5, 4), (1, 2, 0)),   # psi {a:0,b:5,c:4}, V=(b,c,a)
     ]
-    ok = [(st.psi, st.priority) for st in steps] == expected
+    ok = [(tuple(p), tuple(v))
+          for p, v in zip(psi.tolist(), priority.tolist())] == expected
     rc = cli_main(["trace-algorithm", "--steps", "3"])
     lines = capsys.readouterr().out.splitlines()
     ok = ok and rc == 0 and lines == [

@@ -154,6 +154,7 @@ def _power_bounds(cfg):
 @settings(max_examples=60, deadline=None)
 @given(changes=CONFIG_CHANGES)
 @example(changes={"p_rb_w": 0.0})
+@example(changes={"frames": 1, "warmup_frames": 0})
 def test_config_boundary(changes):
     """Any config either fails with an `error: invalid configuration` line
     and exit status 1, or runs to results that keep the invariants."""
@@ -179,9 +180,10 @@ def test_config_boundary(changes):
     assert 0.0 <= float(row["outage_rate"]) <= 1.0
     assert 0 <= int(row["convergence_frame"]) < cfg.frames
     drop_seed = np.random.SeedSequence(cfg.seed).spawn(1)[0]
-    for fm in engine.run_drop(cfg, drop_seed).frames:
-        assert np.all((lo <= fm.cell_power_w) & (fm.cell_power_w <= hi))
-        assert np.all(fm.delivered_bits <= fm.scheduled_bits)
+    result = engine.run_drop(cfg, drop_seed)
+    assert result.cell_power_w.shape == (cfg.frames, cfg.num_cells)
+    assert np.all((lo <= result.cell_power_w) & (result.cell_power_w <= hi))
+    assert np.all(result.delivered_bits <= result.scheduled_bits)
 
 
 def test_parse_config_missing_file():
@@ -294,7 +296,8 @@ def test_run_simulates_each_drop_once(small_yaml, tmp_path, monkeypatch, capsys)
     first = run_drop(config, np.random.SeedSequence(config.seed).spawn(2)[0])
     ref = str(tmp_path / "ref")
     os.makedirs(ref)
-    write_algo_trace(first.algo_trace, ref, config.config_hash())
+    write_algo_trace((first.psi, first.ranking, first.priority), ref,
+                     config.config_hash())
     assert read_lines(os.path.join(out, "algorithm_trace.csv")) == \
         read_lines(os.path.join(ref, "algorithm_trace.csv"))
 
@@ -360,12 +363,12 @@ def test_trace_algorithm_walkthrough(capsys):
 
 
 def test_trace_algorithm_extended_steps():
-    steps = trace_algorithm_steps(6)
-    assert len(steps) == 6
+    psi, ranking, priority = trace_algorithm_steps(6)
+    assert psi.shape == ranking.shape == priority.shape == (6, 3)
     # repeating the last input drains the unused slots toward the floor
-    assert steps[-1].psi[0] == 0
-    assert steps[-1].psi[1] == 5
-    assert steps[-1].psi[2] <= steps[2].psi[2]
+    assert psi[-1, 0] == 0
+    assert psi[-1, 1] == 5
+    assert psi[-1, 2] <= psi[2, 2]
     with pytest.raises(CliError):
         trace_algorithm_steps(0)
 

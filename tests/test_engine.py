@@ -8,11 +8,9 @@ import pytest
 
 from dtxalign import engine
 from dtxalign.config import STRATEGIES, SimConfig
-from dtxalign.engine import (FrameMetrics, convergence_frame,
+from dtxalign.engine import (DropResult, convergence_frame,
                              retransmission_probability, run_drop,
                              run_experiment)
-from dtxalign.geometry import build_hex_layout
-from dtxalign.power import PowerBreakdown
 from dtxalign.scheduler import ScheduleMap
 from dtxalign.strategies import SlotPriorities
 
@@ -32,25 +30,21 @@ def _full_load_w(cfg):
 def test_frame_zero_full_power():
     cfg = small_config()
     result = run_drop(cfg, 0)
-    fm = result.frames[0]
-    assert fm.frame == 0
-    np.testing.assert_allclose(fm.cell_power_w, _full_load_w(cfg))
-    assert fm.center_power.t_s == 0
-    assert fm.center_power.n_tx_avg == pytest.approx(cfg.subcarriers)
-    assert not fm.infeasible.any()
+    np.testing.assert_allclose(result.cell_power_w[0], _full_load_w(cfg))
+    assert not result.infeasible[0].any()
 
 
 def test_frame_zero_full_power_at_reference_scale():
     cfg = SimConfig(frames=2, warmup_frames=1, drops=1)
     result = run_drop(cfg, 0)
-    np.testing.assert_allclose(result.frames[0].cell_power_w, 350.0)
+    np.testing.assert_allclose(result.cell_power_w[0], 350.0)
 
 
 def test_frame_zero_power_independent_of_strategy():
     cfg = small_config()
     for strat in ("sequential", "random", "p_persistent", "memory"):
         result = run_drop(small_config(strategy=strat), 3)
-        np.testing.assert_allclose(result.frames[0].cell_power_w,
+        np.testing.assert_allclose(result.cell_power_w[0],
                                    _full_load_w(cfg))
 
 
@@ -77,17 +71,14 @@ def test_one_sinr_per_frame(monkeypatch):
 
 
 def _assert_same_drop(got, want):
-    """Every FrameMetrics field and algo_trace step equal, bit for bit."""
-    assert len(got.frames) == len(want.frames)
-    for a, b in zip(got.frames, want.frames):
-        for f in fields(FrameMetrics):
-            x, y = getattr(a, f.name), getattr(b, f.name)
-            if isinstance(y, np.ndarray):
-                assert (x.dtype, x.shape) == (y.dtype, y.shape), f.name
-                assert x.tobytes() == y.tobytes(), f.name
-            else:
-                assert x == y, f.name
-    assert got.algo_trace == want.algo_trace
+    """Every DropResult array equal, bit for bit, and the same cycle."""
+    for f in fields(DropResult):
+        x, y = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(y, np.ndarray):
+            assert (x.dtype, x.shape) == (y.dtype, y.shape), f.name
+            assert x.tobytes() == y.tobytes(), f.name
+        else:
+            assert x == y, f.name
 
 
 def test_replay_equals_full_simulation(monkeypatch):
@@ -102,7 +93,7 @@ def test_replay_equals_full_simulation(monkeypatch):
     for (cfg, seed), got in zip(cases, replayed):
         full = run_drop(cfg, seed)
         assert full.cycle is None
-        _assert_same_drop(got, full)
+        _assert_same_drop(replace(got, cycle=None), full)
     cycled = {cfg.strategy for (cfg, _), got in zip(cases, replayed)
               if got.cycle is not None}
     assert {"sequential", "memory"} <= cycled
@@ -116,8 +107,8 @@ def test_replay_skips_the_sinr_of_repeated_frames(monkeypatch):
     found, period = result.cycle
     assert found + period <= cfg.frames
     assert len(results) == found
-    assert len(result.frames) == cfg.frames
-    assert len(result.algo_trace) == cfg.frames - 1
+    assert len(result.cell_power_w) == cfg.frames
+    assert len(result.psi) == cfg.frames - 1
 
 
 @pytest.mark.parametrize("strategy", ["random", "p_persistent"])
@@ -164,20 +155,11 @@ def test_drop_state_differs_in_each_component():
         assert not engine._same_state(base, state(edit)), name
 
 
-def test_frame_arrays_read_only():
-    fm = run_drop(small_config(), 0).frames[3]
-    for name in ("cell_power_w", "scheduled_bits", "delivered_bits",
-                 "retransmission", "infeasible"):
-        with pytest.raises(ValueError):
-            getattr(fm, name)[0] = 1
-
-
 def test_frame_zero_bits_from_its_own_sinr(monkeypatch):
     results = _record_compute_sinr(monkeypatch)
     cfg = small_config()
-    first = run_drop(cfg, 0).frames[0]
-    center = build_hex_layout(cfg.tiers, cfg.isd_m).center_cell_index
-    s = results[0][center]
+    scheduled = run_drop(cfg, 0).scheduled_bits[0]
+    s = results[0][0]                               # the center cell
     n, t = np.meshgrid(np.arange(cfg.subcarriers), np.arange(cfg.slots),
                        indexing="ij")
     owner = (n + t) % cfg.mobiles_per_cell          # round-robin, 0-based
@@ -185,25 +167,19 @@ def test_frame_zero_bits_from_its_own_sinr(monkeypatch):
     for k in range(cfg.mobiles_per_cell):
         mine = owner == k
         want = rate_scale * np.log2(1.0 + s[n[mine], t[mine], k]).sum()
-        assert first.scheduled_bits[k] == pytest.approx(want, rel=1e-12)
+        assert scheduled[k] == pytest.approx(want, rel=1e-12)
 
 
 def test_drop_determinism():
     cfg = small_config(strategy="memory")
-    a = run_drop(cfg, 42)
-    b = run_drop(cfg, 42)
-    for fa, fb in zip(a.frames, b.frames):
-        np.testing.assert_array_equal(fa.cell_power_w, fb.cell_power_w)
-        np.testing.assert_array_equal(fa.delivered_bits, fb.delivered_bits)
-    for sa, sb in zip(a.algo_trace, b.algo_trace):
-        assert sa == sb
+    _assert_same_drop(run_drop(cfg, 42), run_drop(cfg, 42))
 
 
 def test_drop_seed_changes_results():
     cfg = small_config()
     a = run_drop(cfg, 1)
     b = run_drop(cfg, 2)
-    assert not np.allclose(a.frames[5].cell_power_w, b.frames[5].cell_power_w)
+    assert not np.allclose(a.cell_power_w[5], b.cell_power_w[5])
 
 
 def test_sequential_low_rate_settles_and_delivers():
@@ -212,47 +188,47 @@ def test_sequential_low_rate_settles_and_delivers():
     cfg = small_config(strategy="sequential", target_rate_mbps=0.1,
                        frames=20, warmup_frames=8)
     result = run_drop(cfg, 7)
-    steady = result.frames[cfg.warmup_frames:]
-    assert retransmission_probability(steady) == 0.0
-    for fm in steady:
-        assert fm.cell_power_w[0] < 350.0
-        assert np.all(fm.delivered_bits >= cfg.target_bits_per_frame - 1e-6)
+    w = cfg.warmup_frames
+    assert retransmission_probability(result.retransmission[w:],
+                                      result.infeasible[w:]) == 0.0
+    assert np.all(result.cell_power_w[w:, 0] < 350.0)
+    assert np.all(result.delivered_bits[w:]
+                  >= cfg.target_bits_per_frame - 1e-6)
 
 
-def test_algo_trace_only_for_memory():
-    assert run_drop(small_config(strategy="sequential"), 0).algo_trace == []
-    trace = run_drop(small_config(strategy="memory"), 0).algo_trace
-    cfg = small_config()
-    assert len(trace) == cfg.frames - 1
-    for step in trace:
-        assert sorted(step.priority) == list(range(cfg.slots))
-        assert sorted(step.ranking) == list(range(cfg.slots))
-        assert all(0 <= s <= 5 for s in step.psi)
+def test_slot_rows_for_every_strategy():
+    for strat in STRATEGIES:
+        cfg = small_config(strategy=strat)
+        result = run_drop(cfg, 0)
+        shape = (cfg.frames - 1, cfg.slots)
+        assert result.psi.shape == result.ranking.shape == shape, strat
+        assert result.priority.shape == shape, strat
+        slots = np.arange(cfg.slots)
+        for rows in (result.priority, result.ranking):
+            np.testing.assert_array_equal(np.sort(rows),
+                                          np.broadcast_to(slots, shape))
+        assert np.all((cfg.psi_ll <= result.psi) & (result.psi <= cfg.psi_ul))
+        if strat != "memory":
+            assert np.all(result.psi == cfg.psi_ll), strat
 
 
 def test_scheduled_vs_delivered_accounting():
-    layout = build_hex_layout(small_config().tiers, small_config().isd_m)
-    center = layout.center_cell_index
     for strat in STRATEGIES:
         cfg = small_config(strategy=strat)
         result = run_drop(cfg, 11)
-        for fm in result.frames:
-            # each cell is priced once; the center record is that pricing
-            assert fm.center_power.total_w == fm.cell_power_w[center]
-            assert np.all(fm.delivered_bits <= fm.scheduled_bits)
-            # a mobile with delivered >= target is never flagged
-            met = fm.delivered_bits >= cfg.target_bits_per_frame
-            assert not np.any(met & fm.retransmission)
+        assert np.all(result.delivered_bits <= result.scheduled_bits)
+        # a mobile with delivered >= target is never flagged
+        met = result.delivered_bits >= cfg.target_bits_per_frame
+        assert not np.any(met & result.retransmission)
         # frame 0 transmits at the rates its own all-on SINR carries, so
         # nothing fails; flags there only mark a full-power shortfall
-        first = result.frames[0]
-        np.testing.assert_array_equal(first.delivered_bits,
-                                      first.scheduled_bits)
+        np.testing.assert_array_equal(result.delivered_bits[0],
+                                      result.scheduled_bits[0])
         np.testing.assert_array_equal(
-            first.retransmission,
-            first.scheduled_bits < cfg.target_bits_per_frame)
+            result.retransmission[0],
+            result.scheduled_bits[0] < cfg.target_bits_per_frame)
         easy = run_drop(small_config(strategy=strat, target_rate_mbps=0.5), 11)
-        assert not easy.frames[0].retransmission.any()
+        assert not easy.retransmission[0].any()
 
 
 def test_convergence_frame():
@@ -262,25 +238,16 @@ def test_convergence_frame():
     assert convergence_frame(np.array([100.0, 100.5, 100.0]), 0.01) == 0
 
 
-def _metrics(retx, infeasible):
-    k = len(retx)
-    z = np.zeros(k)
-    return FrameMetrics(frame=0, cell_power_w=np.zeros(1),
-                        center_power=None, scheduled_bits=z,
-                        delivered_bits=z,
-                        retransmission=np.array(retx, dtype=bool),
-                        infeasible=np.array(infeasible, dtype=bool))
-
-
 def test_retransmission_probability_counting():
-    frames = [_metrics([1, 0, 0, 0], [0, 0, 0, 0]),
-              _metrics([0, 1, 0, 0], [0, 0, 1, 0])]
+    retx = np.array([[1, 0, 0, 0], [0, 1, 0, 0]], dtype=bool)
+    infeasible = np.array([[0, 0, 0, 0], [0, 0, 1, 0]], dtype=bool)
     # 3 flagged pairs out of 8 (overlap counted once per pair)
-    assert retransmission_probability(frames) == pytest.approx(3 / 8)
-    both = [_metrics([1, 0], [1, 0])]
-    assert retransmission_probability(both) == pytest.approx(0.5)
+    assert retransmission_probability(retx, infeasible) == pytest.approx(3 / 8)
+    both = np.array([[1, 0]], dtype=bool)
+    assert retransmission_probability(both, both) == pytest.approx(0.5)
+    none = np.zeros((0, 4), dtype=bool)
     with pytest.raises(ValueError):
-        retransmission_probability([])
+        retransmission_probability(none, none)
 
 
 def test_run_experiment_shapes_and_common_drops():
@@ -319,8 +286,10 @@ def _assert_same_summaries(got, want):
         np.testing.assert_array_equal(a.power_trace_w, b.power_trace_w)
         for name in ("strategy", "rate_mbps", "sum_rate_mbps", "mean_power_w",
                      "retransmission_prob", "outage_rate",
-                     "convergence_frame", "algo_trace"):
+                     "convergence_frame"):
             assert getattr(a, name) == getattr(b, name), name
+        for x, y in zip(a.algo_trace, b.algo_trace, strict=True):
+            np.testing.assert_array_equal(x, y)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)

@@ -31,7 +31,6 @@ def test_one_tier_ring():
 def test_nineteen_cells_two_tiers():
     layout = build_hex_layout(2, 500.0)
     assert layout.num_cells == 19
-    assert layout.center_cell_index == 0
     np.testing.assert_allclose(layout.cell_positions[0], [0.0, 0.0])
 
 

@@ -38,11 +38,6 @@ def pathloss_db(distance_m) -> np.ndarray:
     return out if out.ndim else float(out)
 
 
-def sample_shadowing(rng: np.random.Generator, size=None, std_db: float = 8.0):
-    """Zero-mean lognormal shadowing, expressed in dB."""
-    return rng.normal(0.0, std_db, size=size)
-
-
 def noise_power(bandwidth_hz: float, temperature_k: float) -> float:
     """Thermal noise power k_B * T * B in watts."""
     return BOLTZMANN_J_PER_K * temperature_k * bandwidth_hz
@@ -69,8 +64,7 @@ def build_link_gains(layout: NetworkLayout, drop: MobileDrop,
     cells = layout.cell_positions                       # (C, 2)
     dist = np.linalg.norm(mobiles[None, :, :] - cells[:, None, :], axis=2)
     pl = pathloss_db(dist)                              # (C, M)
-    shadow = sample_shadowing(rng, size=(1, mobiles.shape[0]),
-                              std_db=shadowing_std_db)
+    shadow = rng.normal(0.0, shadowing_std_db, size=(1, mobiles.shape[0]))
     fading = rng.exponential(1.0, size=pl.shape + (n_subcarriers,))
     scale = 10.0 ** (-(pl + shadow) / 10.0)             # (C, M)
     # written straight into the subcarrier-major buffer: a product without

@@ -32,15 +32,19 @@ def parse_config(path: str | None, overrides: dict) -> SimConfig:
     if path is not None:
         if not os.path.isfile(path):
             raise CliError(f"config file not found: {path}")
-        with open(path) as fh:
-            loaded = yaml.safe_load(fh)
+        try:
+            with open(path) as fh:
+                loaded = yaml.safe_load(fh)
+        except (yaml.YAMLError, UnicodeDecodeError) as exc:
+            detail = " ".join(str(exc).split())     # one line
+            raise CliError(f"unreadable config file {path}: {detail}") from exc
         if loaded is None:
             loaded = {}
         if not isinstance(loaded, dict):
             raise CliError("config file must be a key-value mapping")
         unknown = set(loaded) - set(CONFIG_FIELD_NAMES)
         if unknown:
-            raise CliError(f"unknown config keys: {sorted(unknown)}")
+            raise CliError(f"unknown config keys: {sorted(unknown, key=str)}")
         values.update(loaded)
     values.update({k: v for k, v in overrides.items() if v is not None})
     try:

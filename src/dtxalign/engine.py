@@ -164,7 +164,7 @@ def run_drop(config: SimConfig, drop_seed) -> DropResult:
                 bits=bits[:, n_grid, t_grid, pi - 1],
                 infeasible=np.zeros((n_cells, k_mob), dtype=bool))
 
-        power[f] = price_cells(schedule.pi, config).total_w
+        power[f] = price_cells(schedule.pi, config)
         sched = schedule.cell(0)
         mask = sched.pi > 0
         owners = sched.pi[mask] - 1

@@ -19,8 +19,7 @@ def _write_table(path: str, config_hash: str, header: list, rows: list) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def write_sweep(summaries: list, outdir: str, config_hash: str,
-                filename: str = "sweep.csv") -> str:
+def write_sweep(summaries: list, outdir: str, config_hash: str) -> str:
     """One row per (strategy, target rate) with steady-state metrics."""
     if not summaries:
         raise ValueError("no summaries to write")
@@ -31,13 +30,12 @@ def write_sweep(summaries: list, outdir: str, config_hash: str,
          s.retransmission_prob, s.outage_rate, s.convergence_frame)
         for s in summaries
     ]
-    path = os.path.join(outdir, filename)
+    path = os.path.join(outdir, "sweep.csv")
     _write_table(path, config_hash, header, rows)
     return path
 
 
-def write_trace(summaries: list, outdir: str, config_hash: str,
-                filename: str = "trace.csv") -> str:
+def write_trace(summaries: list, outdir: str, config_hash: str) -> str:
     """One row per (strategy, frame) with the mean center-cell power."""
     if not summaries:
         raise ValueError("no summaries to write")
@@ -46,14 +44,13 @@ def write_trace(summaries: list, outdir: str, config_hash: str,
     for s in summaries:
         for f, p in enumerate(s.power_trace_w):
             rows.append((s.strategy, s.rate_mbps, f, float(p)))
-    path = os.path.join(outdir, filename)
+    path = os.path.join(outdir, "trace.csv")
     _write_table(path, config_hash, header, rows)
     return path
 
 
 def write_algo_trace(trace: tuple, outdir: str, config_hash: str,
-                     labels: list | None = None,
-                     filename: str = "algorithm_trace.csv") -> str:
+                     labels: list | None = None) -> str:
     """Per-frame score map, capacity ranking and priority, one row per row
     of the (psi, ranking, priority) arrays of `trace`, each (steps, T);
     row i is frame i + 1.  Slot sequences are pipe-joined; labels default
@@ -69,6 +66,6 @@ def write_algo_trace(trace: tuple, outdir: str, config_hash: str,
     rows = [(i + 1, "|".join(f"{lab}:{x}" for lab, x in zip(labels, p)),
              slots(r), slots(v))
             for i, (p, r, v) in enumerate(zip(psi, ranking, priority))]
-    path = os.path.join(outdir, filename)
+    path = os.path.join(outdir, "algorithm_trace.csv")
     _write_table(path, config_hash, header, rows)
     return path

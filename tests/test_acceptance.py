@@ -17,8 +17,8 @@ from dtxalign.cli import trace_algorithm_steps
 from dtxalign.config import STRATEGIES, SimConfig
 from dtxalign.engine import run_experiment
 from dtxalign.geometry import build_hex_layout, drop_mobiles
-from dtxalign.power import total_power
-from dtxalign.scheduler import ScheduleMap, allocate_from_bits
+from dtxalign.power import price_cells
+from dtxalign.scheduler import allocate_from_bits
 from dtxalign.strategies import (SlotPriorities, memory_update,
                                  rank_by_capacity, slot_sum_capacity)
 from test_scheduler import oracle_allocate, random_instance
@@ -63,16 +63,10 @@ def test_ac1_scoring_walkthrough_fidelity(capsys):
 
 
 def test_ac2_power_model_anchors():
-    n, t, k = 50, 10, 10
+    n, t = 50, 10
     params = SimConfig()
-
-    def power(pi):
-        sched = ScheduleMap(pi=pi, bits=np.where(pi > 0, 1.0, 0.0),
-                            infeasible=np.zeros(k, dtype=bool))
-        return total_power(sched, params).total_w
-
-    full = power(np.ones((n, t), dtype=int))
-    asleep = power(np.zeros((n, t), dtype=int))
+    full = price_cells(np.ones((n, t), dtype=int), params)
+    asleep = price_cells(np.zeros((n, t), dtype=int), params)
     ok = full == pytest.approx(350.0, rel=1e-12) \
         and asleep == pytest.approx(90.0, rel=1e-12)
     report("ac2 power-model anchors", ok, f"full={full:g} W, all-DTX={asleep:g} W")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dtxalign.channel import (build_link_gains, compute_sinr, noise_power,
-                              pathloss_db, sample_shadowing)
+                              pathloss_db)
 from dtxalign.config import SimConfig
 from dtxalign.geometry import MobileDrop, build_hex_layout, drop_mobiles
 
@@ -30,17 +30,24 @@ def test_pathloss_rejects_nonpositive():
         pathloss_db(np.array([100.0, -1.0]))
 
 
-def test_shadowing_statistics():
-    rng = np.random.default_rng(5)
-    x = sample_shadowing(rng, size=100_000, std_db=8.0)
+def test_shadowing_one_seeded_draw_per_mobile():
+    # shadowing is the only term that depends on its std, so gains drawn
+    # from one seed at 8 dB and at 0 dB give back the draws in their ratio
+    layout = build_hex_layout(1, 500.0)
+    drop = drop_mobiles(layout, 15_000, np.random.default_rng(2))
+    g8, g0 = (build_link_gains(layout, drop, np.random.default_rng(9), 2,
+                               shadowing_std_db=std).gain for std in (8, 0))
+    shadow = -10.0 * np.log10(g8 / g0)                   # (C, M, N) dB
+    x = shadow[0, :, 0]
+    assert x.size == 105_000
+    np.testing.assert_allclose(
+        x, np.random.default_rng(9).normal(0.0, 8.0, (1, x.size))[0],
+        rtol=0, atol=1e-12)
+    # one draw per mobile, shared by all of its links
+    np.testing.assert_allclose(
+        shadow, np.broadcast_to(x[:, None], shadow.shape), rtol=0, atol=1e-12)
     assert abs(x.mean()) < 0.1
     assert x.std() == pytest.approx(8.0, abs=0.2)
-
-
-def test_shadowing_seeded():
-    a = sample_shadowing(np.random.default_rng(9), size=10)
-    b = sample_shadowing(np.random.default_rng(9), size=10)
-    np.testing.assert_array_equal(a, b)
 
 
 def test_noise_power_value():

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
 import math
 import os
@@ -349,6 +350,50 @@ def test_error_exit_status(tmp_path, capsys):
     rc = main(["run", "--config", "/missing.yaml", "--out", str(tmp_path)])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [
+    b"1: 2\nfoo: 3\n",          # keys of mixed types
+    b"tiers: [\n",              # a YAML parser error
+    b"\xfftiers: 1\n",          # not UTF-8
+], ids=["mixed-keys", "unclosed-list", "not-utf8"])
+def test_run_rejects_malformed_config_file(content, tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_bytes(content)
+    rc = main(["run", "--config", str(path), "--out", str(tmp_path / "res")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+# Changes that keep behaviour must keep these bytes, so the suite checks
+# them on every run instead of a diff by hand.  The pins hold for Python
+# 3.11.7 with numpy 2.4.6; another build may round differently.  A change
+# to a pin needs an argument in CHANGES.md.
+PINNED_SHA256 = {
+    "sweep/sweep.csv":
+        "f921b82f016c4d7031175fdb1e32fe63b1fa653c4c3eda42b448288d31e92ae9",
+    "run/sweep.csv":
+        "e775add4145ea5dd2976f5b7814a1062e492b48d34baa0ee1e98454213c11f5f",
+    "run/trace.csv":
+        "eac6656be053ff159983313a4a05e30fba48173e63a14bccf13c6f9752484d62",
+    "run/algorithm_trace.csv":
+        "08a08218aa49988f38f7d87d08f9fcda057e1b887368afec0f473b7c7ab9d37a",
+}
+
+
+def test_outputs_pinned(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(dict(tiers=1, frames=20, warmup_frames=5,
+                                       drops=2)))
+    assert main(["sweep", "--config", str(cfg), "--rates", "0.5,2.0",
+                 "--out", str(tmp_path / "sweep")]) == 0
+    assert main(["run", "--config", str(cfg), "--strategy", "memory",
+                 "--rate-mbps", "1.0", "--out", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in PINNED_SHA256}
+    assert got == PINNED_SHA256
 
 
 def test_trace_algorithm_walkthrough(capsys):

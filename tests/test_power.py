@@ -2,29 +2,22 @@ import numpy as np
 import pytest
 
 from dtxalign.config import SimConfig
-from dtxalign.power import PowerBreakdown, total_power
-from dtxalign.scheduler import ScheduleMap
+from dtxalign.power import price_cells
 
 N, T, K = 50, 10, 10
 
 
-def make_schedule(pi):
-    pi = np.asarray(pi, dtype=int)
-    return ScheduleMap(pi=pi, bits=np.where(pi > 0, 100.0, 0.0),
-                       infeasible=np.zeros(K, dtype=bool))
-
-
 def test_full_load_anchor_350w():
     # every RB scheduled: 200 idle + 3.75 * 0.8 * 50 transmit
-    sched = make_schedule(np.ones((N, T)))
-    assert total_power(sched, SimConfig()).total_w == pytest.approx(350.0)
+    assert price_cells(np.ones((N, T), dtype=int), SimConfig()) \
+        == pytest.approx(350.0)
 
 
 def test_all_dtx_anchor_90w():
-    sched = make_schedule(np.zeros((N, T)))
-    bd = total_power(sched, SimConfig())
-    assert bd.total_w == pytest.approx(90.0)
-    assert bd.tx_part_w == 0.0 and bd.idle_part_w == 0.0
+    total = price_cells(np.zeros((N, T), dtype=int), SimConfig())
+    assert total == pytest.approx(90.0)
+    # exactly the sleep power: no transmit and no idle term
+    assert total == SimConfig().p_sleep_w
 
 
 def test_partial_load_anchor_159w():
@@ -32,31 +25,50 @@ def test_partial_load_anchor_159w():
     # 90*0.7 + 3*120/10 + 200*0.3 = 63 + 36 + 60 = 159
     pi = np.zeros((N, T), dtype=int)
     pi[:40, :3] = 1
-    sched = make_schedule(pi)
-    bd = total_power(sched, SimConfig())
-    assert bd.t_s == 7
-    assert bd.n_tx_avg == pytest.approx(12.0)
-    assert bd.total_w == pytest.approx(159.0)
+    assert price_cells(pi, SimConfig()) == pytest.approx(159.0)
 
 
-def test_breakdown_parts_sum_to_total():
+def slot_loop_power(pi, config):
+    """Frame-average power of one cell's (N, T) map, priced slot by slot:
+    sleep power in a DTX slot, otherwise idle power plus the transmit
+    cost of the slot's RBs."""
+    total = 0.0
+    for t in range(pi.shape[1]):
+        n_rbs = np.count_nonzero(pi[:, t])
+        if n_rbs == 0:
+            total += config.p_sleep_w
+        else:
+            total += config.p_idle_w \
+                + config.load_factor * config.p_rb_w * n_rbs
+    return total / pi.shape[1]
+
+
+def test_price_cells_matches_slot_loop():
+    config = SimConfig()
     rng = np.random.default_rng(3)
     for _ in range(50):
-        pi = (rng.random((N, T)) < rng.random()) * rng.integers(1, K + 1)
-        bd = total_power(make_schedule(pi), SimConfig())
-        assert bd.total_w == bd.sleep_part_w + bd.tx_part_w + bd.idle_part_w
+        c = rng.integers(1, 6)
+        busy = rng.random((c, 1, T)) < rng.random()
+        pi = (busy & (rng.random((c, N, T)) < rng.random())) \
+            * rng.integers(1, K + 1, size=(c, N, T))
+        totals = price_cells(pi, config)
+        assert totals.shape == (c,)
+        for row, total in zip(pi, totals):
+            assert price_cells(row, config) == total
+            assert total == pytest.approx(slot_loop_power(row, config),
+                                          rel=1e-12)
 
 
 def test_power_bounds_and_monotonicity():
     params = SimConfig()
     rng = np.random.default_rng(5)
     pi = np.zeros((N, T), dtype=int)
-    prev = total_power(make_schedule(pi), params).total_w
+    prev = price_cells(pi, params)
     assert prev == pytest.approx(90.0)
     # adding RBs one slot at a time never lowers power
     for t in range(T):
         pi[: rng.integers(1, N + 1), t] = 1
-        cur = total_power(make_schedule(pi), params).total_w
+        cur = price_cells(pi, params)
         assert cur >= prev
         prev = cur
     assert prev <= 350.0 + 1e-9
@@ -67,8 +79,8 @@ def test_sleep_cheaper_than_idle():
     one_rb = empty_slot.copy()
     one_rb[0, 0] = 1
     params = SimConfig()
-    sleeping = total_power(make_schedule(empty_slot), params).total_w
-    active = total_power(make_schedule(one_rb), params).total_w
+    sleeping = price_cells(empty_slot, params)
+    active = price_cells(one_rb, params)
     # waking one slot for a single RB costs (200-90)/10 + 3*0.1 = 11.3 W
     assert active - sleeping == pytest.approx(11.3)
 
@@ -80,13 +92,9 @@ def test_params_validation():
         SimConfig(load_factor=-0.1)
 
 
-def test_breakdown_fields():
+def test_one_busy_slot_116w():
+    # 9 DTX slots and one slot carrying all 50 RBs, 5 per slot on average:
+    # 90*0.9 + 200*0.1 + 3*5 = 81 + 20 + 15
     pi = np.zeros((N, T), dtype=int)
     pi[:, 4] = 2
-    bd = total_power(make_schedule(pi), SimConfig())
-    assert isinstance(bd, PowerBreakdown)
-    assert bd.t_s == 9
-    assert bd.n_tx_avg == pytest.approx(5.0)
-    assert bd.sleep_part_w == pytest.approx(81.0)
-    assert bd.idle_part_w == pytest.approx(20.0)
-    assert bd.tx_part_w == pytest.approx(15.0)
+    assert price_cells(pi, SimConfig()) == pytest.approx(116.0)

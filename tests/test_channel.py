@@ -30,24 +30,32 @@ def test_pathloss_rejects_nonpositive():
         pathloss_db(np.array([100.0, -1.0]))
 
 
-def test_shadowing_one_seeded_draw_per_mobile():
+def _shadowing_db(mobiles_per_cell, seed):
     # shadowing is the only term that depends on its std, so gains drawn
     # from one seed at 8 dB and at 0 dB give back the draws in their ratio
     layout = build_hex_layout(1, 500.0)
-    drop = drop_mobiles(layout, 15_000, np.random.default_rng(2))
-    g8, g0 = (build_link_gains(layout, drop, np.random.default_rng(9), 2,
+    drop = drop_mobiles(layout, mobiles_per_cell, np.random.default_rng(2))
+    g8, g0 = (build_link_gains(layout, drop, np.random.default_rng(seed), 2,
                                shadowing_std_db=std).gain for std in (8, 0))
-    shadow = -10.0 * np.log10(g8 / g0)                   # (C, M, N) dB
-    x = shadow[0, :, 0]
+    return -10.0 * np.log10(g8 / g0)                     # (C, M, N) dB
+
+
+def test_shadowing_statistics():
+    x = _shadowing_db(15_000, 9)[0, :, 0]
     assert x.size == 105_000
+    assert abs(x.mean()) < 0.1
+    assert x.std() == pytest.approx(8.0, abs=0.2)
+
+
+def test_shadowing_seeded():
+    shadow = _shadowing_db(20, 9)
+    x = shadow[0, :, 0]
     np.testing.assert_allclose(
         x, np.random.default_rng(9).normal(0.0, 8.0, (1, x.size))[0],
         rtol=0, atol=1e-12)
     # one draw per mobile, shared by all of its links
     np.testing.assert_allclose(
         shadow, np.broadcast_to(x[:, None], shadow.shape), rtol=0, atol=1e-12)
-    assert abs(x.mean()) < 0.1
-    assert x.std() == pytest.approx(8.0, abs=0.2)
 
 
 def test_noise_power_value():

@@ -95,6 +95,8 @@ def parse_strategies(spec: str) -> list:
     if spec == "all":
         return list(STRATEGIES)
     names = [s.strip() for s in spec.split(",") if s.strip()]
+    if not names:
+        raise CliError("no strategies given")
     for name in names:
         if name not in STRATEGIES:
             raise CliError(f"unknown strategy: {name}")

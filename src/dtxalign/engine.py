@@ -12,7 +12,7 @@ from dtxalign.channel import build_link_gains, compute_sinr, noise_power
 from dtxalign.config import SimConfig
 from dtxalign.geometry import build_hex_layout, drop_mobiles
 from dtxalign.power import price_cells
-from dtxalign.scheduler import ScheduleMap, allocate_cells
+from dtxalign.scheduler import ScheduleMap, allocate_cells, owner_bits
 from dtxalign.strategies import (SlotPriorities, rank_by_capacity,
                                  slot_sum_capacity)
 
@@ -133,7 +133,7 @@ def run_drop(config: SimConfig, drop_seed) -> DropResult:
     n_frames, n_slots = config.frames, config.slots
     power = np.empty((n_frames, n_cells))
     scheduled = np.empty((n_frames, k_mob))
-    delivered = np.zeros((n_frames, k_mob))
+    delivered = np.empty((n_frames, k_mob))
     infeasible = np.empty((n_frames, k_mob), dtype=bool)
     psi, ranking, priority = (np.empty((n_frames - 1, n_slots), dtype=int)
                               for _ in range(3))
@@ -156,24 +156,20 @@ def run_drop(config: SimConfig, drop_seed) -> DropResult:
         bits *= rate_scale
         if f == 0:
             # any all-nonzero assignment works; round-robin over mobiles
-            n_grid, t_grid = np.meshgrid(np.arange(config.subcarriers),
-                                         np.arange(n_slots), indexing="ij")
-            pi = (n_grid + t_grid) % k_mob + 1
-            schedule = ScheduleMap(
-                pi=np.broadcast_to(pi, active.shape),
-                bits=bits[:, n_grid, t_grid, pi - 1],
-                infeasible=np.zeros((n_cells, k_mob), dtype=bool))
+            pi = np.indices(active.shape[1:]).sum(axis=0) % k_mob + 1
+            pi = np.broadcast_to(pi, active.shape)
+            schedule = ScheduleMap(pi, owner_bits(bits, pi),
+                                   np.zeros((n_cells, k_mob), dtype=bool))
 
         power[f] = price_cells(schedule.pi, config)
-        sched = schedule.cell(0)
-        mask = sched.pi > 0
-        owners = sched.pi[mask] - 1
-        n_sel, t_sel = np.nonzero(mask)
-        actual_bits = bits[0][n_sel, t_sel, owners]
-        ok = actual_bits >= sched.bits[mask] * (1.0 - DELIVERY_RTOL)
-        np.add.at(delivered[f], owners[ok], sched.bits[mask][ok])
-        scheduled[f] = sched.scheduled_bits_per_mobile(k_mob)
-        infeasible[f] = sched.infeasible
+        # the center cell's bits per mobile: scheduled, and delivered
+        # where this frame's rate still carries them
+        pi0, planned = schedule.pi[0].ravel(), schedule.bits[0].ravel()
+        kept = owner_bits(bits[0], schedule.pi[0]).ravel() \
+            >= planned * (1.0 - DELIVERY_RTOL)
+        scheduled[f] = np.bincount(pi0, planned, k_mob + 1)[1:]
+        delivered[f] = np.bincount(pi0, planned * kept, k_mob + 1)[1:]
+        infeasible[f] = schedule.infeasible[0]
 
         if f + 1 < n_frames:
             priorities = strategy.step(b, active.any(axis=1))

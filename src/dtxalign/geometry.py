@@ -66,15 +66,13 @@ def build_hex_layout(tiers: int, isd: float) -> NetworkLayout:
     return NetworkLayout(cell_positions=pts, intersite_distance=float(isd))
 
 
-def point_in_hexagon(points: np.ndarray, center: np.ndarray, radius: float,
-                     eps: float = 1e-12) -> np.ndarray:
-    """Membership test for a flat-topped hexagon of given corner radius."""
-    p = np.atleast_2d(points) - np.asarray(center)
-    dx = np.abs(p[:, 0])
-    dy = np.abs(p[:, 1])
-    tol = eps * radius
-    inside = (dy <= SQRT3 / 2.0 * radius + tol) & (SQRT3 * dx + dy <= SQRT3 * radius + tol)
-    return inside if points.ndim > 1 else inside[0]
+def point_in_hexagon(points: np.ndarray, center: np.ndarray,
+                     radius: float) -> np.ndarray:
+    """Which of the (M, 2) points lie in a flat-topped hexagon of given
+    corner radius, to a relative tolerance of 1e-12."""
+    dx, dy = np.abs(points - center).T
+    tol = 1e-12 * radius
+    return (dy <= SQRT3 / 2.0 * radius + tol) & (SQRT3 * dx + dy <= SQRT3 * radius + tol)
 
 
 def drop_mobiles(layout: NetworkLayout, k_per_cell: int,

@@ -14,38 +14,24 @@ class ScheduleMap:
     pi[..., n, t] holds 1-based mobile ids, 0 meaning unscheduled.
     bits[..., n, t] is the rate scheduled on that RB from last frame's SINR
     estimate.  A map of every cell has a leading cell axis on all three
-    arrays, and `cell(c)` takes out one cell's map; the counts below
-    describe a one-cell map.
+    arrays; the count below describes a one-cell map.
     """
 
     pi: np.ndarray            # ([C,] N, T) int in {0..K}
     bits: np.ndarray          # ([C,] N, T) float
     infeasible: np.ndarray    # ([C,] K) bool, target could not be met
 
-    def cell(self, c: int) -> ScheduleMap:
-        return ScheduleMap(pi=self.pi[c], bits=self.bits[c],
-                           infeasible=self.infeasible[c])
-
     @property
     def num_scheduled_rbs(self) -> int:
         return int((self.pi > 0).sum())
 
-    def scheduled_bits_per_mobile(self, k: int) -> np.ndarray:
-        out = np.zeros(k)
-        mask = self.pi > 0
-        np.add.at(out, self.pi[mask] - 1, self.bits[mask])
-        return out
 
-
-def rb_order(priority, n_subcarriers: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flattened (n, t) consumption order of a priority row (T,), or of
-    each row of (C, T): slots by priority, subcarriers ascending within a
-    slot."""
-    priority = np.asarray(priority, dtype=int)
-    t_idx = np.repeat(priority, n_subcarriers, axis=-1)
-    n_idx = np.broadcast_to(
-        np.tile(np.arange(n_subcarriers), priority.shape[-1]), t_idx.shape)
-    return n_idx, t_idx
+def owner_bits(bits: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """The bits each RB carries for the mobile pi assigns it to:
+    bits[..., n, t, pi - 1] where pi > 0 and 0 elsewhere, from bits
+    ([C,] N, T, K) and pi ([C,] N, T)."""
+    got = np.take_along_axis(bits, pi[..., None] - 1, axis=-1)[..., 0]
+    return np.where(pi > 0, got, 0.0)
 
 
 def allocate_cells(priorities: np.ndarray, est_bits: np.ndarray,
@@ -64,15 +50,16 @@ def allocate_cells(priorities: np.ndarray, est_bits: np.ndarray,
     est_bits = np.asarray(est_bits, dtype=float)
     n_cells, n_sub, n_slots, k_mob = est_bits.shape
     targets = np.asarray(targets, dtype=float)
-    n_idx, t_idx = rb_order(priorities, n_sub)          # (C, N*T)
-    grid_pos = n_idx * n_slots + t_idx                  # RB index in (N, T)
+    # RB index in (N, T) of each cell's RBs in consumption order: slots
+    # by priority, subcarriers ascending within a slot
+    grid_pos = (np.asarray(priorities)[..., None]
+                + n_slots * np.arange(n_sub)).reshape(n_cells, -1)
     # est_bits of mobile 0 for each cell's RBs in consumption order, as
     # flat indices; mobile k sits k entries further on
     first = (np.arange(n_cells)[:, None] * (n_sub * n_slots) + grid_pos) * k_mob
     flat = est_bits.reshape(-1)
     shape = grid_pos.shape
     owner = np.zeros(shape, dtype=int)         # in consumption order, 0 free
-    owner_bits = np.zeros(shape)
     infeasible = np.empty((n_cells, k_mob), dtype=bool)
     # buffers reused for every mobile; prefix[:, j] holds the candidate
     # bits before RB j, prefix[:, -1] all of them
@@ -94,13 +81,10 @@ def allocate_cells(priorities: np.ndarray, est_bits: np.ndarray,
         np.less(prefix[:, :-1], targets[k], out=taken)
         taken &= candidate
         np.copyto(owner, k + 1, where=taken)
-        np.copyto(owner_bits, bk, where=taken)
     pi = np.empty(shape, dtype=int)
     np.put_along_axis(pi, grid_pos, owner, axis=1)
-    bits = np.empty(shape)
-    np.put_along_axis(bits, grid_pos, owner_bits, axis=1)
-    grid = (n_cells, n_sub, n_slots)
-    return ScheduleMap(pi=pi.reshape(grid), bits=bits.reshape(grid),
+    pi = pi.reshape(n_cells, n_sub, n_slots)
+    return ScheduleMap(pi=pi, bits=owner_bits(est_bits, pi),
                        infeasible=infeasible)
 
 
@@ -108,5 +92,7 @@ def allocate_from_bits(priority: tuple, est_bits: np.ndarray,
                        targets: np.ndarray) -> ScheduleMap:
     """Greedy sequential fill of one cell's RB grid: allocate_cells with a
     single cell, priority (T,) and est_bits[n, t, k]."""
-    return allocate_cells(np.asarray(priority)[None],
-                          np.asarray(est_bits)[None], targets).cell(0)
+    cells = allocate_cells(np.asarray(priority)[None],
+                           np.asarray(est_bits)[None], targets)
+    return ScheduleMap(pi=cells.pi[0], bits=cells.bits[0],
+                       infeasible=cells.infeasible[0])

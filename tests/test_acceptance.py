@@ -165,7 +165,8 @@ def test_ac8_property_suites():
             n_slots=int(rng.integers(1, 7)), k_mob=int(rng.integers(1, 5)))
         sched = allocate_from_bits(priority, est, targets)
         pi_ref, inf_ref = oracle_allocate(priority, est, targets)
-        got = sched.scheduled_bits_per_mobile(len(targets))
+        got = np.bincount(sched.pi.ravel(), sched.bits.ravel(),
+                          len(targets) + 1)[1:]
         sched_ok = sched_ok and np.array_equal(sched.pi, pi_ref) \
             and np.array_equal(sched.infeasible, inf_ref) \
             and all(got[k] >= targets[k] - 1e-9

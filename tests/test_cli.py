@@ -247,6 +247,20 @@ def test_parse_strategies():
         parse_strategies("bogus")
 
 
+@pytest.mark.parametrize("command, spec", [
+    ("sweep", ","), ("sweep", " "), ("sweep", ""), ("convergence", " "),
+], ids=["sweep-comma", "sweep-blank", "sweep-empty", "convergence-blank"])
+def test_empty_strategy_list_is_an_error(command, spec, small_yaml, tmp_path,
+                                         capsys):
+    out = tmp_path / "res"
+    rc = main([command, "--config", small_yaml, "--strategies", spec,
+               "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(err) == 1 and err[0] == "error: no strategies given"
+    assert not out.exists()
+
+
 def read_lines(path):
     with open(path) as fh:
         return fh.read().splitlines()

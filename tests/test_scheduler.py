@@ -2,22 +2,23 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtxalign.scheduler import allocate_cells, allocate_from_bits, rb_order
+from dtxalign.scheduler import allocate_cells, allocate_from_bits, owner_bits
 
 BW = 200e3
 DT = 1e-3
 
 
-def test_rb_order():
-    n_idx, t_idx = rb_order((2, 0, 1), 3)
-    assert list(t_idx) == [2, 2, 2, 0, 0, 0, 1, 1, 1]
-    assert list(n_idx) == [0, 1, 2, 0, 1, 2, 0, 1, 2]
-
-
-def test_rb_order_rows():
-    n_idx, t_idx = rb_order(np.array([(2, 0, 1), (1, 2, 0)]), 2)
-    assert t_idx.tolist() == [[2, 2, 0, 0, 1, 1], [1, 1, 2, 2, 0, 0]]
-    assert n_idx.tolist() == [[0, 1, 0, 1, 0, 1]] * 2
+def test_owner_bits_matches_loop():
+    rng = np.random.default_rng(19)
+    for shape in [(6, 4, 3), (3, 5, 2, 4), (1, 1, 1), (2, 3, 4, 1)] * 5:
+        bits = rng.exponential(300.0, size=shape)
+        pi = rng.integers(0, shape[-1] + 1, size=shape[:-1])
+        pi.reshape(-1)[0] = 0                    # one unassigned RB at least
+        expect = np.zeros(pi.shape)
+        for idx in np.ndindex(pi.shape):
+            if pi[idx] > 0:
+                expect[idx] = bits[idx + (pi[idx] - 1,)]
+        np.testing.assert_array_equal(owner_bits(bits, pi), expect)
 
 
 def oracle_allocate(priority, est_bits, targets):
@@ -64,7 +65,8 @@ def test_rate_guarantee_when_feasible():
     for _ in range(200):
         priority, est, targets = random_instance(rng, n_sub=10, n_slots=5)
         sched = allocate_from_bits(priority, est, targets)
-        got = sched.scheduled_bits_per_mobile(len(targets))
+        got = np.bincount(sched.pi.ravel(), sched.bits.ravel(),
+                          len(targets) + 1)[1:]
         for k in range(len(targets)):
             if not sched.infeasible[k]:
                 assert got[k] >= targets[k] - 1e-9
@@ -75,7 +77,9 @@ def test_minimality_last_rb_necessary():
     for _ in range(200):
         priority, est, targets = random_instance(rng, n_sub=10, n_slots=5)
         sched = allocate_from_bits(priority, est, targets)
-        n_idx, t_idx = rb_order(priority, est.shape[0])
+        # consumption order: slots by priority, subcarriers ascending
+        t_idx = np.repeat(priority, est.shape[0])
+        n_idx = np.tile(np.arange(est.shape[0]), len(priority))
         for k in range(len(targets)):
             if sched.infeasible[k]:
                 continue

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dtxalign.geometry import MobileDrop, NetworkLayout
+from dtxalign.geometry import NetworkLayout
 
 BOLTZMANN_J_PER_K = 1.380649e-23
 
@@ -43,10 +43,10 @@ def noise_power(bandwidth_hz: float, temperature_k: float) -> float:
     return BOLTZMANN_J_PER_K * temperature_k * bandwidth_hz
 
 
-def build_link_gains(layout: NetworkLayout, drop: MobileDrop,
+def build_link_gains(layout: NetworkLayout, drop: np.ndarray,
                      rng: np.random.Generator, n_subcarriers: int,
                      shadowing_std_db: float = 8.0) -> LinkGainMap:
-    """Draw the frozen per-drop gain map.
+    """Draw the frozen per-drop gain map of the (C, K, 2) mobile positions.
 
     gain = 10^(-(PL + shadowing)/10) * fading with a unit-mean exponential
     (Rayleigh power) fading draw per (cell, mobile, subcarrier).  Shadowing
@@ -60,7 +60,7 @@ def build_link_gains(layout: NetworkLayout, drop: MobileDrop,
     through a (C, M, N) view, so that the per-subcarrier products of
     compute_sinr read contiguous (C, M) blocks.
     """
-    mobiles = drop.flat_positions                       # (M, 2)
+    mobiles = drop.reshape(-1, 2)                       # (M, 2), m = c*K + k
     cells = layout.cell_positions                       # (C, 2)
     dist = np.linalg.norm(mobiles[None, :, :] - cells[:, None, :], axis=2)
     pl = pathloss_db(dist)                              # (C, M)
@@ -73,7 +73,7 @@ def build_link_gains(layout: NetworkLayout, drop: MobileDrop,
     buf = np.empty((n_subcarriers,) + pl.shape)
     np.multiply(scale, fading.transpose(2, 0, 1), out=buf)
     return LinkGainMap(gain=buf.transpose(1, 2, 0),
-                       mobiles_per_cell=drop.mobiles_per_cell)
+                       mobiles_per_cell=drop.shape[1])
 
 
 def compute_sinr(gains: LinkGainMap, active: np.ndarray, p_rb: float,

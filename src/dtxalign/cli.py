@@ -114,47 +114,45 @@ def _prepare_outdir(outdir: str) -> None:
         raise CliError(f"output directory not writable: {exc}") from exc
 
 
-def cmd_run(args) -> None:
+def _simulate(args, overrides: dict, rates: str | None = None,
+              strategies: str | None = None) -> tuple:
+    """Resolve the config, parse the rate and strategy specs (None means
+    the config's own), echo the config into args.out and run the drops.
+    Returns the config hash and the summaries."""
     config = parse_config(args.config, {
-        "strategy": args.strategy, "target_rate_mbps": args.rate_mbps,
-        "drops": args.drops, "frames": args.frames, "seed": args.seed,
+        **overrides, "drops": args.drops, "frames": args.frames,
+        "seed": args.seed,
     })
+    rates = [config.target_rate_mbps] if rates is None else parse_rates(rates)
+    if strategies is not None:
+        strategies = parse_strategies(strategies)
     _prepare_outdir(args.out)
     echo_config(config, args.out)
-    summaries = run_experiment(config, [config.target_rate_mbps])
-    chash = config.config_hash()
+    return config.config_hash(), run_experiment(config, rates, strategies)
+
+
+def cmd_run(args) -> None:
+    chash, summaries = _simulate(args, {
+        "strategy": args.strategy, "target_rate_mbps": args.rate_mbps})
     write_sweep(summaries, args.out, chash)
     write_trace(summaries, args.out, chash)
     s = summaries[0]
-    if config.strategy == "memory":
+    if s.strategy == "memory":
         write_algo_trace(s.algo_trace, args.out, chash)
     print(f"strategy={s.strategy} rate={s.rate_mbps:g} Mbps "
           f"mean_power={s.mean_power_w:.6g} W retx={s.retransmission_prob:.6g}")
 
 
 def cmd_sweep(args) -> None:
-    config = parse_config(args.config, {
-        "drops": args.drops, "frames": args.frames, "seed": args.seed,
-    })
-    rates = parse_rates(args.rates)
-    strategies = parse_strategies(args.strategies)
-    _prepare_outdir(args.out)
-    echo_config(config, args.out)
-    summaries = run_experiment(config, rates, strategies)
-    path = write_sweep(summaries, args.out, config.config_hash())
+    chash, summaries = _simulate(args, {}, args.rates, args.strategies)
+    path = write_sweep(summaries, args.out, chash)
     print(f"wrote {len(summaries)} rows to {path}")
 
 
 def cmd_convergence(args) -> None:
-    config = parse_config(args.config, {
-        "target_rate_mbps": args.rate_mbps, "drops": args.drops,
-        "frames": args.frames, "seed": args.seed,
-    })
-    strategies = parse_strategies(args.strategies)
-    _prepare_outdir(args.out)
-    echo_config(config, args.out)
-    summaries = run_experiment(config, [config.target_rate_mbps], strategies)
-    path = write_trace(summaries, args.out, config.config_hash())
+    chash, summaries = _simulate(args, {"target_rate_mbps": args.rate_mbps},
+                                 strategies=args.strategies)
+    path = write_trace(summaries, args.out, chash)
     print(f"wrote power traces to {path}")
 
 

@@ -27,22 +27,6 @@ class NetworkLayout:
         return self.intersite_distance / SQRT3
 
 
-@dataclass(frozen=True)
-class MobileDrop:
-    """Uniform mobile positions, one row of K mobiles per cell."""
-
-    positions: np.ndarray  # (C, K, 2) meters
-
-    @property
-    def mobiles_per_cell(self) -> int:
-        return self.positions.shape[1]
-
-    @property
-    def flat_positions(self) -> np.ndarray:
-        """All mobiles stacked, cell-major: mobile m = c*K + k."""
-        return self.positions.reshape(-1, 2)
-
-
 def build_hex_layout(tiers: int, isd: float) -> NetworkLayout:
     """Hexagonal lattice of 1 + 3*tiers*(tiers+1) cells with spacing isd.
 
@@ -76,8 +60,9 @@ def point_in_hexagon(points: np.ndarray, center: np.ndarray,
 
 
 def drop_mobiles(layout: NetworkLayout, k_per_cell: int,
-                 rng: np.random.Generator) -> MobileDrop:
-    """Rejection-sample k_per_cell uniform points inside every hexagon."""
+                 rng: np.random.Generator) -> np.ndarray:
+    """Rejection-sample k_per_cell uniform points inside every hexagon:
+    the (C, K, 2) positions in meters, one row of K mobiles per cell."""
     radius = layout.cell_radius
     origin = np.zeros(2)
     out = np.empty((layout.num_cells, k_per_cell, 2))
@@ -87,4 +72,4 @@ def drop_mobiles(layout: NetworkLayout, k_per_cell: int,
             cand = rng.uniform(-radius, radius, size=(2 * k_per_cell, 2))
             collected = np.vstack([collected, cand[point_in_hexagon(cand, origin, radius)]])
         out[c] = center + collected[:k_per_cell]
-    return MobileDrop(positions=out)
+    return out

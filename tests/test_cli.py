@@ -139,6 +139,23 @@ def boundary_value(name):
     return st.one_of(st.sampled_from(accepted), st.sampled_from(values))
 
 
+@pytest.mark.parametrize("name", BOUNDS)
+def test_config_bounds_exact(name):
+    """In each (bound, neighbour) pair of BOUNDS exactly one value builds,
+    the one on the side of the field's valid value in BOUNDARY_YAML (or
+    its default), so each rule sits exactly at its bound.  Every strategy
+    builds."""
+    values = BOUNDS[name]
+    if name == "strategy":
+        assert all(_accepted(name, v) for v in values)
+        return
+    valid = BOUNDARY_YAML.get(name, DEFAULTS[name])
+    for pair in zip(values[::2], values[1::2]):
+        inside = min(pair, key=lambda v: abs(v - valid))
+        assert [_accepted(name, v) for v in pair] == \
+            [v == inside for v in pair], pair
+
+
 CONFIG_CHANGES = st.lists(st.sampled_from(CONFIG_FIELD_NAMES), min_size=3,
                           max_size=3, unique=True).flatmap(
     lambda names: st.fixed_dictionaries(
@@ -393,6 +410,8 @@ PINNED_SHA256 = {
         "eac6656be053ff159983313a4a05e30fba48173e63a14bccf13c6f9752484d62",
     "run/algorithm_trace.csv":
         "08a08218aa49988f38f7d87d08f9fcda057e1b887368afec0f473b7c7ab9d37a",
+    "convergence/trace.csv":
+        "22b52838d14ae3f187134ea03bf23f8170da5c91f770799e7143c3035461bda8",
 }
 
 
@@ -404,6 +423,8 @@ def test_outputs_pinned(tmp_path, capsys):
                  "--out", str(tmp_path / "sweep")]) == 0
     assert main(["run", "--config", str(cfg), "--strategy", "memory",
                  "--rate-mbps", "1.0", "--out", str(tmp_path / "run")]) == 0
+    assert main(["convergence", "--config", str(cfg), "--rate-mbps", "2.0",
+                 "--out", str(tmp_path / "convergence")]) == 0
     capsys.readouterr()
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in PINNED_SHA256}

@@ -215,6 +215,24 @@ def test_slot_rows_for_every_strategy():
             assert np.all(result.psi == cfg.psi_ll), strat
 
 
+def test_memory_settles_without_neighbours():
+    # a tiers-0 drop has no interferers, so its slot capacities are the
+    # same every frame and the memory scores settle, after at most
+    # 2 (psi_ul - psi_ll) + 1 steps, into a period-1 cycle
+    for psi_ul, psi_ll in ((5, 0), (3, 0), (7, 2), (1, 0), (0, 0)):
+        span = 2 * (psi_ul - psi_ll)
+        for rate in (0.25, 1.0, 4.0, 20.0):
+            cfg = small_config(tiers=0, strategy="memory", psi_ul=psi_ul,
+                               psi_ll=psi_ll, target_rate_mbps=rate,
+                               frames=span + 4, warmup_frames=0)
+            for seed in range(3):
+                result = run_drop(cfg, seed)
+                case = (psi_ul, psi_ll, rate, seed)
+                for rows in (result.psi, result.priority):
+                    assert (rows[span:] == rows[span]).all(), case
+                assert result.cycle[1] == 1, case
+
+
 def test_scheduled_vs_delivered_accounting():
     for strat in STRATEGIES:
         cfg = small_config(strategy=strat)

@@ -3,9 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dtxalign.config import SimConfig
-from dtxalign.geometry import (MobileDrop, NetworkLayout, build_hex_layout,
-                               drop_mobiles, point_in_hexagon)
+from dtxalign.geometry import build_hex_layout, drop_mobiles, point_in_hexagon
 
 
 def test_cell_count_formula():
@@ -53,27 +51,19 @@ def test_sixty_degree_rotation_symmetry():
         assert dist.min() < 1e-6
 
 
-def test_invalid_layout_args():
-    # layout arguments come from SimConfig, which checks them when built
-    with pytest.raises(ValueError):
-        SimConfig(tiers=-1)
-    with pytest.raises(ValueError):
-        SimConfig(isd_m=0.0)
-
-
 def test_drop_seeded_determinism():
     layout = build_hex_layout(2, 500.0)
     a = drop_mobiles(layout, 10, np.random.default_rng(42))
     b = drop_mobiles(layout, 10, np.random.default_rng(42))
-    np.testing.assert_array_equal(a.positions, b.positions)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_drop_inside_serving_hexagon():
     layout = build_hex_layout(2, 500.0)
     drop = drop_mobiles(layout, 10, np.random.default_rng(7))
-    assert drop.positions.shape == (19, 10, 2)
+    assert drop.shape == (19, 10, 2)
     for c in range(layout.num_cells):
-        inside = point_in_hexagon(drop.positions[c], layout.cell_positions[c],
+        inside = point_in_hexagon(drop[c], layout.cell_positions[c],
                                   layout.cell_radius)
         assert inside.all()
 
@@ -86,7 +76,7 @@ def test_mean_distance_matches_closed_form():
     dists = []
     for _ in range(1000):
         drop = drop_mobiles(layout, 10, rng)
-        dists.append(np.linalg.norm(drop.positions[0], axis=1))
+        dists.append(np.linalg.norm(drop[0], axis=1))
     expected = radius * (1.0 / 3.0 + math.log(3.0) / 4.0)
     assert np.mean(dists) == pytest.approx(expected, rel=0.02)
 

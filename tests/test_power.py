@@ -85,13 +85,6 @@ def test_sleep_cheaper_than_idle():
     assert active - sleeping == pytest.approx(11.3)
 
 
-def test_params_validation():
-    with pytest.raises(ValueError):
-        SimConfig(p_sleep_w=-1.0)
-    with pytest.raises(ValueError):
-        SimConfig(load_factor=-0.1)
-
-
 def test_one_busy_slot_116w():
     # 9 DTX slots and one slot carrying all 50 RBs, 5 per slot on average:
     # 90*0.9 + 200*0.1 + 3*5 = 81 + 20 + 15

@@ -77,14 +77,14 @@ def test_random_priority_single_slot():
 
 
 def test_random_priority_uniform_over_permutations():
-    state = one_cell("random", 3, seed=8)
-    b = np.ones(3)
-    counts = {}
+    # rows sharing one RNG draw in row order, as one-row steps on it would
     n = 60_000
-    for _ in range(n):
-        counts[step1(state, b)] = counts.get(step1(state, b), 0) + 1
-    assert len(counts) == 6
-    for c in counts.values():
+    rng = np.random.default_rng(8)
+    state = SlotPriorities(SimConfig(strategy="random", slots=3), [rng] * n)
+    rows = state.step(np.ones((n, 3)), np.ones((n, 3), dtype=bool))
+    perms, counts = np.unique(rows, axis=0, return_counts=True)
+    assert len(perms) == 6
+    for c in counts:
         assert c / n == pytest.approx(1 / 6, rel=0.02)
 
 
@@ -93,17 +93,22 @@ def test_rank_by_capacity_ties_to_lower_index():
     assert tuple(rank_by_capacity(np.array([1.0, 1.0, 1.0]))) == (0, 1, 2)
 
 
-def _p_persistent(p, prev, rng):
-    """One-cell p_persistent state on rng whose previous row is prev.
+def _p_persistent(p, prev, rng, n_rows=1):
+    """p_persistent state of n_rows rows on the one rng, each row's
+    previous row being prev.
 
     Its first step adopts the ranking of the capacities without a draw,
-    so every later step draws from rng once, as a call given prev did.
+    so every later step draws from rng once per row, in row order, as
+    n_rows one-row calls given prev did.
     """
     state = SlotPriorities(
-        SimConfig(strategy="p_persistent", slots=len(prev), p_persist=p), [rng])
+        SimConfig(strategy="p_persistent", slots=len(prev), p_persist=p),
+        [rng] * n_rows)
     b_prev = np.empty(len(prev))
     b_prev[list(prev)] = np.arange(len(prev), 0, -1)
-    assert step1(state, b_prev) == tuple(prev)
+    rows = state.step(np.tile(b_prev, (n_rows, 1)),
+                      np.ones((n_rows, len(prev)), dtype=bool))
+    assert (rows == prev).all()
     return state
 
 
@@ -126,14 +131,10 @@ def test_p_persistent_adoption_rate():
     b = np.array([1.0, 3.0, 2.0])
     prev = (0, 1, 2)           # distinct from the fresh ranking (1, 2, 0)
     n = 100_000
-    adopted = sum(step1(_p_persistent(0.3, prev, rng), b) == (1, 2, 0)
-                  for _ in range(n))
+    rows = _p_persistent(0.3, prev, rng, n).step(
+        np.tile(b, (n, 1)), np.ones((n, 3), dtype=bool))
+    adopted = np.sum((rows == (1, 2, 0)).all(axis=1))
     assert adopted / n == pytest.approx(0.30, abs=0.01)
-
-
-def test_p_persistent_rejects_bad_p():
-    with pytest.raises(ValueError):
-        SimConfig(strategy="p_persistent", p_persist=1.5)
 
 
 # three-slot worked walkthrough, slots a=0, b=1, c=2
@@ -226,11 +227,6 @@ def test_memory_strategy_initialization():
     # every slot used in the full-power start: each gains a point, and the
     # leader (slot 1) one more
     assert state.psi.tolist() == [[1, 2, 1, 1]]
-
-
-def test_score_state_validation():
-    with pytest.raises(ValueError):
-        SimConfig(psi_ul=0, psi_ll=1)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)

@@ -4,11 +4,15 @@
 The digest covers every array field of each drop's `DropResult`, by
 name, for tiers 1 and 2, all four strategies, target rates 0.5/1/2/3
 Mbps and drop seeds 0 and 5 (64 drops).  Two checkouts that print the
-same digest simulate these drops identically, bit for bit.  The number
-of drops replayed from a repeated state (`DropResult.cycle`) goes to
-stderr, so a change that disables the replay shows there while the
-digest stays put.  The package is imported from the `src/` tree beside
-this script, so the digest belongs to the checkout the script sits in:
+same digest simulate these drops identically, bit for bit.  How much
+work the drops took goes to stderr: the drops replayed from a repeated
+state (`DropResult.cycle`), the frames simulated, and the slots whose
+SINR was computed (one slot of one `compute_sinr` call counts once, so
+a frame that recomputes 3 of 10 slots counts 3).  A change that saves
+or wastes work shows there while the digest stays put; the counts are
+the same on every run.  The package is imported from the `src/` tree
+beside this script, so the digest belongs to the checkout the script
+sits in:
 
     python3 scripts/drop_digest.py
 """
@@ -22,8 +26,8 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from dtxalign import engine  # noqa: E402
 from dtxalign.config import STRATEGIES, SimConfig  # noqa: E402
-from dtxalign.engine import run_drop  # noqa: E402
 
 TIERS = (1, 2)
 RATES_MBPS = (0.5, 1.0, 2.0, 3.0)
@@ -41,21 +45,42 @@ def feed(h, drop_id: tuple, result) -> None:
             h.update(np.ascontiguousarray(value).tobytes())
 
 
+def count_slot_sinrs() -> list:
+    """Wrap the engine's compute_sinr so that each call adds its number of
+    slots to the one entry of the returned list."""
+    slots = [0]
+    compute_sinr = engine.compute_sinr
+
+    def counting(gains, active, *args, **kwargs):
+        slots[0] += active.shape[2]
+        return compute_sinr(gains, active, *args, **kwargs)
+
+    engine.compute_sinr = counting
+    return slots
+
+
 def main() -> int:
     h = hashlib.sha256()
-    drops = replayed = 0
+    slot_sinrs = count_slot_sinrs()
+    drops = replayed = frames = all_frames = all_slots = 0
     for tiers in TIERS:
         for strategy in STRATEGIES:
             for rate in RATES_MBPS:
                 config = SimConfig(tiers=tiers, strategy=strategy,
                                    target_rate_mbps=rate)
                 for seed in DROP_SEEDS:
-                    result = run_drop(config, seed)
+                    result = engine.run_drop(config, seed)
                     feed(h, (tiers, strategy, rate, seed), result)
                     drops += 1
                     replayed += result.cycle is not None
+                    frames += (config.frames if result.cycle is None
+                               else result.cycle[0])
+                    all_frames += config.frames
+                    all_slots += config.frames * config.slots
     print(h.hexdigest())
-    print(f"{replayed} of {drops} drops replayed", file=sys.stderr)
+    print(f"{replayed} of {drops} drops replayed; {frames:,} of "
+          f"{all_frames:,} frames simulated; {slot_sinrs[0]:,} of "
+          f"{all_slots:,} slot SINRs computed", file=sys.stderr)
     return 0
 
 

@@ -14,6 +14,7 @@ BOLTZMANN_J_PER_K = 1.380649e-23
 PATHLOSS_INTERCEPT_DB = 128.1
 PATHLOSS_SLOPE_DB_PER_DECADE = 37.6
 DISTANCE_FLOOR_M = 35.0
+SINR_BLOCK_ITEMS = 1 << 16     # compute_sinr's products per block
 
 
 @dataclass(frozen=True)
@@ -91,15 +92,21 @@ def compute_sinr(gains: LinkGainMap, active: np.ndarray, p_rb: float,
     num_cells, num_mobiles, n_sub = g.shape
     k_per = gains.mobiles_per_cell
     n_slots = active.shape[2]
+    sinr = np.empty((num_cells, n_sub, n_slots, k_per)) if out is None else out
     # total received power per mobile and RB from all active cells, one
     # (M, C) @ (C, T) product per subcarrier.  With the mobile axis
     # reversed, the gain operand has no stride of +1 item, so matmul never
     # hands it to BLAS (which sums in blocks and rounds differently) and
     # sums the cells in index order, bit for bit like a loop over cells.
-    # A single mobile means a single cell, and no sum to order.
-    total = np.matmul(g[:, ::-1].transpose(2, 1, 0),
-                      active.astype(float).transpose(1, 0, 2))  # (N, M, T)
-    total *= p_rb
+    # A single mobile means a single cell, and no sum to order.  Blocks of
+    # subcarriers keep the products' temporary small.
+    step = max(1, SINR_BLOCK_ITEMS // (num_mobiles * n_slots))
+    for n in (slice(lo, lo + step) for lo in range(0, n_sub, step)):
+        total = np.matmul(g[:, ::-1, n].transpose(2, 1, 0),
+                          active[:, n].astype(float).transpose(1, 0, 2))
+        total *= p_rb                                       # (n, M, T)
+        sinr[:, n] = total[:, ::-1].reshape(
+            -1, num_cells, k_per, n_slots).transpose(1, 0, 3, 2)
     cells = np.arange(num_cells)
     # each serving cell's gains to its own mobiles: the diagonal blocks,
     # taken per subcarrier (the reshape is a view of subcarrier-major gains)
@@ -107,9 +114,6 @@ def compute_sinr(gains: LinkGainMap, active: np.ndarray, p_rb: float,
         n_sub, num_cells, num_cells, k_per)[:, cells, cells]  # (N, C, K)
     desired *= p_rb
     desired = desired.transpose(1, 0, 2)[:, :, None, :]      # (C, N, 1, K)
-    sinr = np.empty((num_cells, n_sub, n_slots, k_per)) if out is None else out
-    sinr[...] = total[:, ::-1].reshape(
-        n_sub, num_cells, k_per, n_slots).transpose(1, 0, 3, 2)
     # interference: the total less the serving cell's share where it
     # transmits, then the noise and the quotient, all in place
     np.subtract(sinr, desired, out=sinr, where=active[..., None])

@@ -39,7 +39,7 @@ class DropResult:
     psi: np.ndarray                # (F - 1, T) memory scores
     ranking: np.ndarray            # (F - 1, T) slots by capacity
     priority: np.ndarray           # (F - 1, T) slot priority row
-    cycle: tuple | None = None     # (frame found, period) if replayed
+    cycle: tuple | None = None     # (first replayed frame, period)
 
     @property
     def frames(self) -> list:
@@ -85,28 +85,58 @@ def retransmission_probability(retransmission: np.ndarray,
     return float(flags.mean())
 
 
+class SlotRates:
+    """The bits every RB carries, `bits` (C, N, T, K): log2(1 + SINR)
+    scaled by the RB's bandwidth and duration, and each slot's capacity
+    `b` (C, T), under a drop's transmit pattern.  A slot's SINR depends
+    only on which cells transmit on its RBs, so `update` recomputes only
+    the slots whose pattern changed, bit for bit as a full recompute."""
+
+    def __init__(self, gains, config: SimConfig):
+        n_cells, _, n_sub = gains.gain.shape
+        self.bits = np.empty((n_cells, n_sub, config.slots,
+                              gains.mobiles_per_cell))
+        self.b = np.empty((n_cells, config.slots))
+        # changed slots go here unless all did: flat, so that any number
+        # of slots is a contiguous view
+        self._scratch = np.empty(self.bits.size)
+        self._gains, self._config, self._last = gains, config, None
+
+    def update(self, active: np.ndarray) -> np.ndarray:
+        """Recompute the slots t whose active[:, :, t] changed since the
+        last update (all on the first) and return their indices."""
+        cfg, (n_cells, n_sub, n_slots, k_mob) = self._config, self.bits.shape
+        stale = np.arange(n_slots) if self._last is None else \
+            np.flatnonzero((active != self._last).any(axis=(0, 1)))
+        self._last = active.copy()
+        if stale.size:
+            shape = (n_cells, n_sub, stale.size, k_mob)
+            fresh = self.bits if stale.size == n_slots else \
+                self._scratch[:np.prod(shape)].reshape(shape)
+            n0 = noise_power(cfg.subcarrier_bw_hz, cfg.noise_temp_k)
+            compute_sinr(self._gains, active[:, :, stale], cfg.p_rb_w, n0,
+                         out=fresh)
+            self.b[:, stale] = slot_sum_capacity(fresh, out=fresh)
+            fresh *= cfg.subcarrier_bw_hz * cfg.slot_duration_s
+            if fresh is not self.bits:
+                self.bits[:, :, stale] = fresh
+        return stale
+
+
 def run_drop(config: SimConfig, drop_seed) -> DropResult:
     """Simulate one Monte-Carlo drop into the arrays of its DropResult.
 
-    Every frame works on arrays over the cell axis and runs one body:
-    1. the SINR of this frame's transmit pattern, every cell at once;
-    2. the bits each RB carries at that SINR, log2(1 + s) scaled by the
-       RB's bandwidth and duration: this frame's realized rates and the
-       next frame's estimates;
-    3. in frame 0 only, the schedules: every cell transmits on every RB
-       (round-robin over mobiles) at the rates from step 2;
-    4. each cell priced once, and the center cell's scheduled bits
-       delivered where the realized rate carries them;
-    5. unless this is the last frame, the slots ranked from step 2's
-       capacities and the next frame's schedules filled from its bits.
-    Frame f fills row f of the record's arrays in place.
+    Every frame runs one body on arrays of cells: the RB bits (its rates
+    and the next frame's estimates) and slot capacities of its transmit
+    pattern; in frame 0 only, every RB scheduled round-robin over mobiles;
+    pricing and delivery; unless it is the last frame, the strategy step
+    and the next schedules.  Frame f fills row f of each array in place.
 
-    The schedules and the strategy state at the top of a frame after
-    frame 0 decide every later frame.  That state is saved at frames 1,
-    2, 4, 8, ... (Brent's checkpoints) and compared exactly with each
-    frame's.  Once it equals the state saved `period` frames earlier, the
-    remaining rows repeat those already simulated, and each array's are
-    filled by one periodic copy instead.  A strategy that draws from its
+    A frame's transmit pattern and the strategy state at its top decide
+    every later frame.  Once they equal frame g's (_frame_key, kept for
+    every frame), at frame f, frames f + 1 on repeat frames g + 1 on:
+    the drop stops, `cycle` is (f + 1, f - g), and one periodic copy
+    fills each array's remaining rows.  A strategy that draws from its
     RNGs never repeats, so its drop runs every frame.
     """
     seq = drop_seed if isinstance(drop_seed, np.random.SeedSequence) \
@@ -124,11 +154,9 @@ def run_drop(config: SimConfig, drop_seed) -> DropResult:
     drop = drop_mobiles(layout, config.mobiles_per_cell, rng_geo)
     gains = build_link_gains(layout, drop, rng_chan, config.subcarriers,
                              config.shadowing_std_db)
-    n0 = noise_power(config.subcarrier_bw_hz, config.noise_temp_k)
     strategy = SlotPriorities(config, strat_rngs)
     k_mob = config.mobiles_per_cell
     targets = np.full(k_mob, config.target_bits_per_frame)
-    rate_scale = config.subcarrier_bw_hz * config.slot_duration_s
 
     n_frames, n_slots = config.frames, config.slots
     power = np.empty((n_frames, n_cells))
@@ -138,22 +166,12 @@ def run_drop(config: SimConfig, drop_seed) -> DropResult:
     psi, ranking, priority = (np.empty((n_frames - 1, n_slots), dtype=int)
                               for _ in range(3))
     active = np.ones((n_cells, config.subcarriers, n_slots), dtype=bool)
-    # one (C, N, T, K) buffer holds the SINR and then, in place, the RB
-    # bits: a second such array would raise the drop's peak memory
-    bits = np.empty(active.shape + (k_mob,))
-    cycle = saved = None
+    rates = SlotRates(gains, config)
+    bits, b = rates.bits, rates.b
+    seen, cycle = {}, None
 
     for f in range(n_frames):
-        if f > 0:
-            state = _drop_state(schedule, strategy)
-            if saved is not None and _same_state(state, saved[1]):
-                cycle = (f, f - saved[0])
-                break
-            if f & (f - 1) == 0:
-                saved = (f, state)
-        compute_sinr(gains, active, config.p_rb_w, n0, out=bits)
-        b = slot_sum_capacity(bits, out=bits)        # bits: log2(1 + s)
-        bits *= rate_scale
+        rates.update(active)
         if f == 0:
             # any all-nonzero assignment works; round-robin over mobiles
             pi = np.indices(active.shape[1:]).sum(axis=0) % k_mob + 1
@@ -171,13 +189,18 @@ def run_drop(config: SimConfig, drop_seed) -> DropResult:
         delivered[f] = np.bincount(pi0, planned * kept, k_mob + 1)[1:]
         infeasible[f] = schedule.infeasible[0]
 
-        if f + 1 < n_frames:
-            priorities = strategy.step(b, active.any(axis=1))
-            schedule = allocate_cells(priorities, bits, targets)
-            active = schedule.pi > 0
-            psi[f] = strategy.psi[0]
-            ranking[f] = rank_by_capacity(b[0])
-            priority[f] = priorities[0]
+        if f + 1 == n_frames:
+            break
+        g = seen.setdefault(_frame_key(active, strategy), f)
+        priorities = strategy.step(b, active.any(axis=1))
+        psi[f] = strategy.psi[0]
+        ranking[f] = rank_by_capacity(b[0])
+        priority[f] = priorities[0]
+        if g < f:
+            cycle = (f + 1, f - g)
+            break
+        schedule = allocate_cells(priorities, bits, targets)
+        active = schedule.pi > 0
 
     if cycle is not None:
         f, period = cycle
@@ -191,20 +214,9 @@ def run_drop(config: SimConfig, drop_seed) -> DropResult:
         cycle=cycle)
 
 
-def _drop_state(schedule: ScheduleMap, strategy: SlotPriorities) -> tuple:
-    """Everything the rest of a drop depends on at the top of a frame after
-    frame 0, by reference: allocation and the strategy step build their
-    arrays afresh.  The RNG states come first, so that a strategy which
-    draws fails the comparison fast."""
-    return ([rng.bit_generator.state for rng in strategy.rngs],
-            schedule.pi, schedule.bits, schedule.infeasible,
-            strategy.psi, strategy.prev)
-
-
-def _same_state(a: tuple, b: tuple) -> bool:
-    """Whether two _drop_state tuples are exactly equal."""
-    return a[0] == b[0] and all(np.array_equal(x, y)
-                                for x, y in zip(a[1:], b[1:]))
+def _frame_key(active: np.ndarray, strategy: SlotPriorities) -> tuple:
+    """An exact, hashable copy of a transmit pattern and strategy state."""
+    return np.packbits(active).tobytes(), strategy.key()
 
 
 def _usable_cpus() -> int:

@@ -59,7 +59,9 @@ def allocate_cells(priorities: np.ndarray, est_bits: np.ndarray,
     first = (np.arange(n_cells)[:, None] * (n_sub * n_slots) + grid_pos) * k_mob
     flat = est_bits.reshape(-1)
     shape = grid_pos.shape
-    owner = np.zeros(shape, dtype=int)         # in consumption order, 0 free
+    # in consumption order: each RB's mobile (0 free) and its bits for it
+    owner, owned_bits = np.zeros(shape, dtype=int), np.zeros(shape)
+    free = np.ones(shape, dtype=bool)
     infeasible = np.empty((n_cells, k_mob), dtype=bool)
     # buffers reused for every mobile; prefix[:, j] holds the candidate
     # bits before RB j, prefix[:, -1] all of them
@@ -72,19 +74,22 @@ def allocate_cells(priorities: np.ndarray, est_bits: np.ndarray,
         # mode "clip" writes to out unbuffered; the indices are in range
         np.take(flat[k:], first, out=bk, mode="clip")
         np.greater(bk, 0.0, out=candidate)
-        candidate &= owner == 0
-        candidate_bits.fill(0.0)
-        np.copyto(candidate_bits, bk, where=candidate)
+        candidate &= free
+        # exact: bits are finite and >= 0, so x * 1 = x and x * 0 = 0
+        np.multiply(bk, candidate, out=candidate_bits)
         np.cumsum(candidate_bits, axis=1, out=prefix[:, 1:])
         infeasible[:, k] = prefix[:, -1] < targets[k]
         # a candidate is taken while the bits before it fall short
         np.less(prefix[:, :-1], targets[k], out=taken)
         taken &= candidate
         np.copyto(owner, k + 1, where=taken)
-    pi = np.empty(shape, dtype=int)
+        np.copyto(owned_bits, bk, where=taken)
+        free ^= taken
+    pi, bits = np.empty(shape, dtype=int), np.empty(shape)
     np.put_along_axis(pi, grid_pos, owner, axis=1)
-    pi = pi.reshape(n_cells, n_sub, n_slots)
-    return ScheduleMap(pi=pi, bits=owner_bits(est_bits, pi),
+    np.put_along_axis(bits, grid_pos, owned_bits, axis=1)
+    grid = (n_cells, n_sub, n_slots)
+    return ScheduleMap(pi=pi.reshape(grid), bits=bits.reshape(grid),
                        infeasible=infeasible)
 
 

@@ -12,6 +12,8 @@ are 0-indexed internally.
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 
 from dtxalign.config import SimConfig
@@ -22,11 +24,13 @@ def slot_sum_capacity(sinr: np.ndarray,
     """Per-slot hypothetical sum capacity: b[t] = sum_k sum_n log2(1 + s),
     from s[n, t, k] (T,) or from s[c, n, t, k] for every cell (C, T).
     log2(1 + s) is written into `out`, an array of the shape of s, when
-    one is given."""
+    one is given.  Each slot is summed over k (pairwise), then over n in
+    order, whatever the other slots: as caps.sum(axis=(-3, -1)) does for
+    T > 1, while with T = 1 numpy would merge the n and k sums."""
     if np.any(sinr < 0):
         raise ValueError("SINR must be >= 0")
     caps = np.log2(np.add(1.0, sinr, out=out), out=out)
-    return caps.sum(axis=(-3, -1))
+    return np.cumsum(caps.sum(axis=-1), axis=-2)[..., -1, :]
 
 
 def rank_by_capacity(b: np.ndarray) -> np.ndarray:
@@ -67,6 +71,19 @@ class SlotPriorities:
         shape = (len(rngs), config.slots)
         self.psi = np.full(shape, config.psi_ll, dtype=int)
         self.prev: np.ndarray | None = None
+        # scores stay in [psi_ll, psi_ul]: a type holding both holds them
+        self._psi_type = np.promote_types(np.min_scalar_type(config.psi_ll),
+                                          np.min_scalar_type(config.psi_ul))
+        self._rngs_seen = self._rngs_key = None
+
+    def key(self) -> tuple:
+        """An exact, hashable copy of the scores, previous priority rows
+        and RNG states; the RNG states are pickled only after a draw."""
+        states = [rng.bit_generator.state for rng in self.rngs]
+        if states != self._rngs_seen:
+            self._rngs_seen, self._rngs_key = states, pickle.dumps(states)
+        prev = None if self.prev is None else self.prev.tobytes()
+        return self.psi.astype(self._psi_type).tobytes(), prev, self._rngs_key
 
     def step(self, b: np.ndarray, used: np.ndarray) -> np.ndarray:
         """Priority rows (C, T) from slot capacities b (C, T) and the slots

@@ -8,13 +8,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtxalign import engine
+from dtxalign.channel import LinkGainMap, compute_sinr, noise_power
 from dtxalign.config import STRATEGIES, SimConfig
-from dtxalign.engine import (DropResult, convergence_frame,
+from dtxalign.engine import (DropResult, SlotRates, convergence_frame,
                              retransmission_probability, run_drop,
                              run_experiment)
-from dtxalign.scheduler import ScheduleMap
 from dtxalign.strategies import SlotPriorities
 
 SMALL = dict(tiers=1, mobiles_per_cell=4, subcarriers=10, slots=5,
@@ -53,24 +55,69 @@ def test_frame_zero_power_independent_of_strategy():
 
 def _record_compute_sinr(monkeypatch):
     """Wrap the engine's compute_sinr; the returned list receives a copy of
-    each result as it is computed."""
-    results = []
+    each call's transmit pattern and result as it is computed."""
+    calls = []
     compute_sinr = engine.compute_sinr
 
-    def recording(*args, **kwargs):
-        sinr = compute_sinr(*args, **kwargs)
-        results.append(sinr.copy())
+    def recording(gains, active, *args, **kwargs):
+        sinr = compute_sinr(gains, active, *args, **kwargs)
+        calls.append((active.copy(), sinr.copy()))
         return sinr
 
     monkeypatch.setattr(engine, "compute_sinr", recording)
-    return results
+    return calls
 
 
-def test_one_sinr_per_frame(monkeypatch):
-    results = _record_compute_sinr(monkeypatch)
-    cfg = small_config()
-    run_drop(cfg, 0)
-    assert len(results) == cfg.frames
+def _record_patterns(monkeypatch):
+    """Wrap SlotRates.update; the returned list receives a copy of the
+    transmit pattern of each frame the engine simulates."""
+    patterns = []
+    update = engine.SlotRates.update
+
+    def recording(self, active):
+        patterns.append(active.copy())
+        return update(self, active)
+
+    monkeypatch.setattr(engine.SlotRates, "update", recording)
+    return patterns
+
+
+def test_sinr_only_for_changed_slots(monkeypatch):
+    calls = _record_compute_sinr(monkeypatch)
+    patterns = _record_patterns(monkeypatch)
+    skipped = 0
+    for strat in STRATEGIES:
+        cfg = small_config(strategy=strat)
+        calls.clear()
+        patterns.clear()
+        run_drop(cfg, 0)
+        # frame 0 computes every slot, each later frame the slots where
+        # some cell's use of some RB changed, and no call if none did
+        stale = [np.arange(cfg.slots)] + [
+            np.flatnonzero((now != before).any(axis=(0, 1)))
+            for before, now in zip(patterns, patterns[1:])]
+        want = [p[:, :, t] for p, t in zip(patterns, stale) if t.size]
+        assert len(calls) == len(want), strat
+        for (got, _), pattern in zip(calls, want):
+            np.testing.assert_array_equal(got, pattern)
+        skipped += len(patterns) - len(calls)
+    assert skipped > 0
+
+
+def _first_repeat(states: list):
+    """(f, g) with g < f of the first state equal to an earlier one, found
+    by comparing every pair of (pattern, psi, prev, RNG states), or None."""
+    def same(a, b):
+        return (np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+                and (a[2] is None) == (b[2] is None)
+                and (a[2] is None or np.array_equal(a[2], b[2]))
+                and a[3] == b[3])
+
+    for f, state in enumerate(states):
+        for g in range(f):
+            if same(states[g], state):
+                return f, g
+    return None
 
 
 def _assert_same_drop(got, want):
@@ -88,81 +135,131 @@ def test_replay_equals_full_simulation(monkeypatch):
     cases = [(small_config(strategy=strat, target_rate_mbps=rate), seed)
              for strat in STRATEGIES for rate in (0.5, 1.0)
              for seed in (0, 1, 2)]
-    # a 37-cell drop whose period (24 frames) spans several checkpoints
+    # a 37-cell drop whose state first repeats at frame 131, period 2:
+    # state copies saved at frames 1, 2, 4, ..., 128 never catch it
     cases.append((SimConfig(tiers=3, frames=200, strategy="memory",
-                            target_rate_mbps=1.0), 6))
+                            target_rate_mbps=1.0),
+                  np.random.SeedSequence(112).spawn(1)[0]))
     replayed = [run_drop(cfg, seed) for cfg, seed in cases]
-    monkeypatch.setattr(engine, "_same_state", lambda a, b: False)
+    states = []
+
+    def brute_force(active, strategy):
+        states.append((active.copy(), strategy.psi.copy(),
+                       None if strategy.prev is None else strategy.prev.copy(),
+                       [rng.bit_generator.state for rng in strategy.rngs]))
+        return object()        # equal to no other key: no replay
+
+    monkeypatch.setattr(engine, "_frame_key", brute_force)
     for (cfg, seed), got in zip(cases, replayed):
+        states.clear()
         full = run_drop(cfg, seed)
         assert full.cycle is None
+        repeat = _first_repeat(states)        # frame f repeats frame g
+        assert got.cycle == (None if repeat is None
+                             else (repeat[0] + 1, repeat[0] - repeat[1]))
         _assert_same_drop(replace(got, cycle=None), full)
     cycled = {cfg.strategy for (cfg, _), got in zip(cases, replayed)
               if got.cycle is not None}
     assert {"sequential", "memory"} <= cycled
-    assert replayed[-1].cycle[1] > 2
+    assert replayed[-1].cycle == (132, 2)
 
 
 def test_replay_skips_the_sinr_of_repeated_frames(monkeypatch):
-    results = _record_compute_sinr(monkeypatch)
+    patterns = _record_patterns(monkeypatch)
     cfg = small_config(strategy="memory", target_rate_mbps=0.5, frames=40)
     result = run_drop(cfg, 0)
     found, period = result.cycle
     assert found + period <= cfg.frames
-    assert len(results) == found
+    assert len(patterns) == found
     assert len(result.cell_power_w) == cfg.frames
     assert len(result.psi) == cfg.frames - 1
 
 
 @pytest.mark.parametrize("strategy", ["random", "p_persistent"])
 def test_drawing_strategies_run_every_frame(strategy, monkeypatch):
-    results = _record_compute_sinr(monkeypatch)
+    patterns = _record_patterns(monkeypatch)
     cfg = small_config(strategy=strategy, target_rate_mbps=0.5, frames=40)
     assert run_drop(cfg, 0).cycle is None
-    assert len(results) == cfg.frames
+    assert len(patterns) == cfg.frames
 
 
-def test_drop_state_differs_in_each_component():
+def test_frame_key_differs_in_each_component():
     cfg = small_config(strategy="p_persistent")
-    grid = (3, cfg.subcarriers, cfg.slots)
     b = np.arange(3 * cfg.slots, dtype=float).reshape(3, cfg.slots)
 
-    def state(edit=None):
-        sched = ScheduleMap(pi=np.ones(grid, dtype=int), bits=np.ones(grid),
-                            infeasible=np.zeros((3, cfg.mobiles_per_cell),
-                                                dtype=bool))
+    def setup():
+        active = np.ones((3, cfg.subcarriers, cfg.slots), dtype=bool)
         strategy = SlotPriorities(cfg, [np.random.default_rng(c)
                                         for c in range(3)])
         for _ in range(2):
             strategy.step(b, np.ones((3, cfg.slots), dtype=bool))
-        if edit is not None:
-            edit(sched, strategy)
-        return engine._drop_state(sched, strategy)
+        return active, strategy
 
     def bump(array):
         array.flat[-1] += 1
 
     edits = {
-        "pi": lambda sched, _: bump(sched.pi),
-        "bits": lambda sched, _: bump(sched.bits),
-        "infeasible": lambda sched, _: bump(sched.infeasible),
+        "active": lambda active, _: active.flat.__setitem__(-1, False),
         "psi": lambda _, strategy: bump(strategy.psi),
         "prev": lambda _, strategy: setattr(strategy, "prev",
                                             strategy.prev[:, ::-1]),
         "rng": lambda _, strategy: strategy.rngs[-1].random(),
     }
-    base = state()
-    assert engine._same_state(state(), base)
+    base = engine._frame_key(*setup())
+    assert engine._frame_key(*setup()) == base
     for name, edit in edits.items():
-        assert not engine._same_state(state(edit), base), name
-        assert not engine._same_state(base, state(edit)), name
+        active, strategy = setup()
+        assert engine._frame_key(active, strategy) == base, name
+        edit(active, strategy)
+        assert engine._frame_key(active, strategy) != base, name
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_cells=st.sampled_from([1, 3, 7]), n_sub=st.integers(1, 50),
+       n_slots=st.sampled_from([1, 2, 3, 10]),
+       k_mob=st.sampled_from([1, 2, 9, 12]), seed=st.integers(0, 2**32 - 1))
+def test_slot_reuse_equals_full_recompute(n_cells, n_sub, n_slots, k_mob,
+                                          seed):
+    rng = np.random.default_rng(seed)
+    # subcarrier-major, as build_link_gains stores them
+    buf = 10.0 ** rng.uniform(-16, -10, (n_sub, n_cells, n_cells * k_mob))
+    gains = LinkGainMap(gain=buf.transpose(1, 2, 0), mobiles_per_cell=k_mob)
+    cfg = small_config(subcarriers=n_sub, slots=n_slots,
+                       mobiles_per_cell=k_mob)
+    p_rb = cfg.p_rb_w
+    n0 = noise_power(cfg.subcarrier_bw_hz, cfg.noise_temp_k)
+    rate_scale = cfg.subcarrier_bw_hz * cfg.slot_duration_s
+    first = rng.random((n_cells, n_sub, n_slots)) < 0.5
+    some = first.copy()
+    redrawn = rng.random(n_slots) < 0.5
+    some[:, :, redrawn] = rng.random((n_cells, n_sub, redrawn.sum())) < 0.5
+    every = some.copy()
+    every[0, 0] ^= True                    # one RB of every slot flips
+    rates = SlotRates(gains, cfg)
+    last = None
+    for pattern in (first, first.copy(), some, every):
+        stale = rates.update(pattern)
+        want_stale = np.arange(n_slots) if last is None else np.flatnonzero(
+            (pattern != last).any(axis=(0, 1)))
+        np.testing.assert_array_equal(stale, want_stale)
+        last = pattern
+        full = SlotRates(gains, cfg)
+        full.update(pattern)
+        assert rates.bits.tobytes() == full.bits.tobytes()
+        assert rates.b.tobytes() == full.b.tobytes()
+        sinr = compute_sinr(gains, pattern, p_rb, n0)
+        caps = np.log2(1.0 + sinr)
+        assert full.bits.tobytes() == (caps * rate_scale).tobytes()
+        if n_slots > 1:
+            # the order numpy sums both axes in at once (not with one slot)
+            assert full.b.tobytes() == caps.sum(axis=(1, 3)).tobytes()
 
 
 def test_frame_zero_bits_from_its_own_sinr(monkeypatch):
-    results = _record_compute_sinr(monkeypatch)
+    calls = _record_compute_sinr(monkeypatch)
     cfg = small_config()
     scheduled = run_drop(cfg, 0).scheduled_bits[0]
-    s = results[0][0]                               # the center cell
+    s = calls[0][1][0]                      # frame 0, the center cell
     n, t = np.meshgrid(np.arange(cfg.subcarriers), np.arange(cfg.slots),
                        indexing="ij")
     owner = (n + t) % cfg.mobiles_per_cell          # round-robin, 0-based

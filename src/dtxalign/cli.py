@@ -1,4 +1,4 @@
-"""Command-line front end: run, sweep, convergence, trace-algorithm."""
+"""Command-line front end: run, sweep, trace-algorithm."""
 
 from __future__ import annotations
 
@@ -117,8 +117,9 @@ def _prepare_outdir(outdir: str) -> None:
 def _simulate(args, overrides: dict, rates: str | None = None,
               strategies: str | None = None) -> tuple:
     """Resolve the config, parse the rate and strategy specs (None means
-    the config's own), echo the config into args.out and run the drops.
-    Returns the config hash and the summaries."""
+    the config's own), echo the config into args.out, run the drops and
+    write their sweep.csv and trace.csv there.  Returns the config hash
+    and the summaries."""
     config = parse_config(args.config, {
         **overrides, "drops": args.drops, "frames": args.frames,
         "seed": args.seed,
@@ -128,14 +129,16 @@ def _simulate(args, overrides: dict, rates: str | None = None,
         strategies = parse_strategies(strategies)
     _prepare_outdir(args.out)
     echo_config(config, args.out)
-    return config.config_hash(), run_experiment(config, rates, strategies)
+    chash = config.config_hash()
+    summaries = run_experiment(config, rates, strategies)
+    write_sweep(summaries, args.out, chash)
+    write_trace(summaries, args.out, chash)
+    return chash, summaries
 
 
 def cmd_run(args) -> None:
     chash, summaries = _simulate(args, {
         "strategy": args.strategy, "target_rate_mbps": args.rate_mbps})
-    write_sweep(summaries, args.out, chash)
-    write_trace(summaries, args.out, chash)
     s = summaries[0]
     if s.strategy == "memory":
         write_algo_trace(s.algo_trace, args.out, chash)
@@ -144,16 +147,9 @@ def cmd_run(args) -> None:
 
 
 def cmd_sweep(args) -> None:
-    chash, summaries = _simulate(args, {}, args.rates, args.strategies)
-    path = write_sweep(summaries, args.out, chash)
-    print(f"wrote {len(summaries)} rows to {path}")
-
-
-def cmd_convergence(args) -> None:
-    chash, summaries = _simulate(args, {"target_rate_mbps": args.rate_mbps},
-                                 strategies=args.strategies)
-    path = write_trace(summaries, args.out, chash)
-    print(f"wrote power traces to {path}")
+    _, summaries = _simulate(args, {}, args.rates, args.strategies)
+    print(f"wrote {len(summaries)} rows to sweep.csv and their power "
+          f"traces to trace.csv in {args.out}")
 
 
 # Three-slot scoring walkthrough: slots a, b, c; each step gives the slots
@@ -226,18 +222,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--rate-mbps", type=float, default=None)
     p_run.set_defaults(func=cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="rate sweep over strategies")
+    p_sweep = sub.add_parser("sweep", help="rate sweep: sweep.csv and trace.csv")
     common(p_sweep)
     p_sweep.add_argument("--rates", default="0.5:3.0:0.25",
                          help="start:stop:step or comma list, in Mbps")
     p_sweep.add_argument("--strategies", default="all")
     p_sweep.set_defaults(func=cmd_sweep)
-
-    p_conv = sub.add_parser("convergence", help="per-frame power traces")
-    common(p_conv)
-    p_conv.add_argument("--rate-mbps", type=float, default=None)
-    p_conv.add_argument("--strategies", default="all")
-    p_conv.set_defaults(func=cmd_convergence)
 
     p_tr = sub.add_parser("trace-algorithm",
                           help="replay the three-slot scoring walkthrough")
@@ -254,6 +244,10 @@ def main(argv=None) -> int:
         args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # numpy's one-line message names the array it could not allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     return 0
 

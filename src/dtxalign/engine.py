@@ -137,7 +137,7 @@ def run_drop(config: SimConfig, drop_seed) -> DropResult:
     every frame), at frame f, frames f + 1 on repeat frames g + 1 on:
     the drop stops, `cycle` is (f + 1, f - g), and one periodic copy
     fills each array's remaining rows.  A strategy that draws from its
-    RNGs never repeats, so its drop runs every frame.
+    RNGs never repeats, keeps no key and runs every frame.
     """
     seq = drop_seed if isinstance(drop_seed, np.random.SeedSequence) \
         else np.random.SeedSequence(drop_seed)
@@ -191,7 +191,8 @@ def run_drop(config: SimConfig, drop_seed) -> DropResult:
 
         if f + 1 == n_frames:
             break
-        g = seen.setdefault(_frame_key(active, strategy), f)
+        key = _frame_key(active, strategy)
+        g = f if key is None else seen.setdefault(key, f)
         priorities = strategy.step(b, active.any(axis=1))
         psi[f] = strategy.psi[0]
         ranking[f] = rank_by_capacity(b[0])
@@ -214,9 +215,11 @@ def run_drop(config: SimConfig, drop_seed) -> DropResult:
         cycle=cycle)
 
 
-def _frame_key(active: np.ndarray, strategy: SlotPriorities) -> tuple:
-    """An exact, hashable copy of a transmit pattern and strategy state."""
-    return np.packbits(active).tobytes(), strategy.key()
+def _frame_key(active: np.ndarray, strategy: SlotPriorities) -> tuple | None:
+    """An exact, hashable copy of a transmit pattern and strategy state, or
+    None where the state never repeats (SlotPriorities.key)."""
+    state = strategy.key()
+    return None if state is None else (np.packbits(active).tobytes(), state)
 
 
 def _usable_cpus() -> int:

@@ -12,8 +12,6 @@ are 0-indexed internally.
 
 from __future__ import annotations
 
-import pickle
-
 import numpy as np
 
 from dtxalign.config import SimConfig
@@ -74,16 +72,14 @@ class SlotPriorities:
         # scores stay in [psi_ll, psi_ul]: a type holding both holds them
         self._psi_type = np.promote_types(np.min_scalar_type(config.psi_ll),
                                           np.min_scalar_type(config.psi_ul))
-        self._rngs_seen = self._rngs_key = None
 
-    def key(self) -> tuple:
-        """An exact, hashable copy of the scores, previous priority rows
-        and RNG states; the RNG states are pickled only after a draw."""
-        states = [rng.bit_generator.state for rng in self.rngs]
-        if states != self._rngs_seen:
-            self._rngs_seen, self._rngs_key = states, pickle.dumps(states)
-        prev = None if self.prev is None else self.prev.tobytes()
-        return self.psi.astype(self._psi_type).tobytes(), prev, self._rngs_key
+    def key(self) -> bytes | None:
+        """The scores as exact bytes, or None for random and p_persistent:
+        they draw from their RNGs (nearly) every step, and a PCG64 stream
+        never revisits a state, so their state never repeats."""
+        if self.config.strategy in ("random", "p_persistent"):
+            return None
+        return self.psi.astype(self._psi_type).tobytes()
 
     def step(self, b: np.ndarray, used: np.ndarray) -> np.ndarray:
         """Priority rows (C, T) from slot capacities b (C, T) and the slots

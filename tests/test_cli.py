@@ -1,10 +1,13 @@
 import contextlib
 import dataclasses
 import hashlib
+import importlib.util
 import io
 import math
 import os
+import shlex
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -264,13 +267,11 @@ def test_parse_strategies():
         parse_strategies("bogus")
 
 
-@pytest.mark.parametrize("command, spec", [
-    ("sweep", ","), ("sweep", " "), ("sweep", ""), ("convergence", " "),
-], ids=["sweep-comma", "sweep-blank", "sweep-empty", "convergence-blank"])
-def test_empty_strategy_list_is_an_error(command, spec, small_yaml, tmp_path,
-                                         capsys):
+@pytest.mark.parametrize("spec", [",", " ", ""],
+                         ids=["sweep-comma", "sweep-blank", "sweep-empty"])
+def test_empty_strategy_list_is_an_error(spec, small_yaml, tmp_path, capsys):
     out = tmp_path / "res"
-    rc = main([command, "--config", small_yaml, "--strategies", spec,
+    rc = main(["sweep", "--config", small_yaml, "--strategies", spec,
                "--out", str(out)])
     err = capsys.readouterr().err.splitlines()
     assert rc == 1
@@ -350,20 +351,13 @@ def test_sweep_row_count_and_determinism(small_yaml, tmp_path, capsys):
     assert main(argv + ["--out", out_a]) == 0
     assert main(argv + ["--out", out_b]) == 0
     capsys.readouterr()
-    a = read_lines(os.path.join(out_a, "sweep.csv"))
-    b = read_lines(os.path.join(out_b, "sweep.csv"))
-    assert a == b                      # byte-identical reruns
-    assert len(a) == 2 + 3 * 4         # header lines + rates x strategies
-
-
-def test_convergence_command(small_yaml, tmp_path, capsys):
-    out = str(tmp_path / "conv")
-    rc = main(["convergence", "--config", small_yaml, "--rate-mbps", "0.2",
-               "--strategies", "sequential,random", "--out", out])
-    assert rc == 0
-    capsys.readouterr()
-    lines = read_lines(os.path.join(out, "trace.csv"))
-    assert len(lines) == 2 + 2 * SMALL_YAML["frames"]
+    # header lines + rates x strategies, and as many traces of every frame
+    for name, rows in (("sweep.csv", 3 * 4),
+                       ("trace.csv", 3 * 4 * SMALL_YAML["frames"])):
+        a = read_lines(os.path.join(out_a, name))
+        b = read_lines(os.path.join(out_b, name))
+        assert a == b, name            # byte-identical reruns
+        assert len(a) == 2 + rows, name
 
 
 def test_resolved_config_echo(small_yaml, tmp_path):
@@ -381,6 +375,22 @@ def test_error_exit_status(tmp_path, capsys):
     rc = main(["run", "--config", "/missing.yaml", "--out", str(tmp_path)])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+# Each asks for tens of TiB, which fails at allocation and touches no
+# memory; with two drops the pool re-raises a worker's error.
+@pytest.mark.parametrize("argv", [
+    ["trace-algorithm", "--steps", "1000000000000"],
+    ["run", "--frames", "1000000000000", "--drops", "1"],
+    ["run", "--frames", "1000000000000", "--drops", "2"],
+], ids=["trace-algorithm", "run-in-process", "run-pooled"])
+def test_out_of_memory_is_an_error_line(argv, small_yaml, tmp_path, capsys):
+    if argv[0] == "run":
+        argv = argv + ["--config", small_yaml, "--out", str(tmp_path / "res")]
+    rc = main(argv)
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith("error: out of memory")
 
 
 @pytest.mark.parametrize("content", [
@@ -404,14 +414,14 @@ def test_run_rejects_malformed_config_file(content, tmp_path, capsys):
 PINNED_SHA256 = {
     "sweep/sweep.csv":
         "f921b82f016c4d7031175fdb1e32fe63b1fa653c4c3eda42b448288d31e92ae9",
+    "sweep/trace.csv":
+        "d5522529dc8cdee1ef43a3f33e3bd970f73b78233a12e84d832b981e3f6f3f79",
     "run/sweep.csv":
         "e775add4145ea5dd2976f5b7814a1062e492b48d34baa0ee1e98454213c11f5f",
     "run/trace.csv":
         "eac6656be053ff159983313a4a05e30fba48173e63a14bccf13c6f9752484d62",
     "run/algorithm_trace.csv":
         "08a08218aa49988f38f7d87d08f9fcda057e1b887368afec0f473b7c7ab9d37a",
-    "convergence/trace.csv":
-        "22b52838d14ae3f187134ea03bf23f8170da5c91f770799e7143c3035461bda8",
 }
 
 
@@ -423,8 +433,6 @@ def test_outputs_pinned(tmp_path, capsys):
                  "--out", str(tmp_path / "sweep")]) == 0
     assert main(["run", "--config", str(cfg), "--strategy", "memory",
                  "--rate-mbps", "1.0", "--out", str(tmp_path / "run")]) == 0
-    assert main(["convergence", "--config", str(cfg), "--rate-mbps", "2.0",
-                 "--out", str(tmp_path / "convergence")]) == 0
     capsys.readouterr()
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in PINNED_SHA256}
@@ -460,3 +468,23 @@ def test_trace_algorithm_file_output(tmp_path, capsys):
     lines = read_lines(os.path.join(out, "algorithm_trace.csv"))
     assert lines[1] == "frame,psi,ranking,priority"
     assert lines[2] == "1,a:0|b:3|c:5,b|c|a,c|b|a"
+
+
+def test_docs_and_scripts_name_only_real_commands():
+    """Every `dtx-sim` line of README's CLI block and every job of
+    scripts/reproduce_results.py parses (nothing is simulated), so a
+    command cannot go while it is still documented or scripted."""
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1]
+    lines = [ln for ln in block.split("```", 1)[0].splitlines()
+             if ln.startswith("dtx-sim ")]
+    spec = importlib.util.spec_from_file_location(
+        "reproduce_results", root / "scripts" / "reproduce_results.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    argvs = [shlex.split(ln)[1:] for ln in lines] + script.jobs("res", 2, 1)
+    assert len(lines) >= 3
+    parser = cli.build_parser()
+    for argv in argvs:
+        assert parser.parse_args(argv).func, argv

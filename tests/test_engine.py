@@ -184,10 +184,9 @@ def test_drawing_strategies_run_every_frame(strategy, monkeypatch):
 
 
 def test_frame_key_differs_in_each_component():
-    cfg = small_config(strategy="p_persistent")
-    b = np.arange(3 * cfg.slots, dtype=float).reshape(3, cfg.slots)
-
-    def setup():
+    def setup(strat):
+        cfg = small_config(strategy=strat)
+        b = np.arange(3 * cfg.slots, dtype=float).reshape(3, cfg.slots)
         active = np.ones((3, cfg.subcarriers, cfg.slots), dtype=bool)
         strategy = SlotPriorities(cfg, [np.random.default_rng(c)
                                         for c in range(3)])
@@ -201,17 +200,17 @@ def test_frame_key_differs_in_each_component():
     edits = {
         "active": lambda active, _: active.flat.__setitem__(-1, False),
         "psi": lambda _, strategy: bump(strategy.psi),
-        "prev": lambda _, strategy: setattr(strategy, "prev",
-                                            strategy.prev[:, ::-1]),
-        "rng": lambda _, strategy: strategy.rngs[-1].random(),
     }
-    base = engine._frame_key(*setup())
-    assert engine._frame_key(*setup()) == base
+    base = engine._frame_key(*setup("memory"))
+    assert engine._frame_key(*setup("memory")) == base
     for name, edit in edits.items():
-        active, strategy = setup()
+        active, strategy = setup("memory")
         assert engine._frame_key(active, strategy) == base, name
         edit(active, strategy)
         assert engine._frame_key(active, strategy) != base, name
+    # states that draw never repeat: no key is kept
+    for strat in ("random", "p_persistent"):
+        assert engine._frame_key(*setup(strat)) is None, strat
 
 
 @settings(max_examples=60, deadline=None)

@@ -79,15 +79,17 @@ def parse_rates(spec: str) -> list:
         start, stop, step = (_parse_rate(p) for p in parts)
         if step <= 0 or stop < start:
             raise CliError("invalid rate range")
-        n = (stop - start) / step          # inf when the span overflows
-        if not n <= MAX_RATES - 1:
+        # whole steps to the stop, a stop rounded a hair short included
+        n = (stop - start) / step + 1e-9   # inf when the span overflows
+        if not n < MAX_RATES:
             raise CliError(f"rate range gives more than {MAX_RATES} rates")
-        n = int(round(n))
-        rates = [start + i * step for i in range(n + 1)]
+        rates = [start + i * step for i in range(int(n) + 1)]
     else:
         rates = [_parse_rate(p) for p in spec.split(",") if p]
     if not rates or any(r <= 0 for r in rates):
         raise CliError("rates must be positive")
+    if len(set(rates)) < len(rates):     # a repeat would run its drops twice
+        raise CliError("rates must not repeat")
     return rates
 
 
@@ -100,6 +102,8 @@ def parse_strategies(spec: str) -> list:
     for name in names:
         if name not in STRATEGIES:
             raise CliError(f"unknown strategy: {name}")
+    if len(set(names)) < len(names):     # a repeat would run its drops twice
+        raise CliError("strategies must not repeat")
     return names
 
 
@@ -180,14 +184,12 @@ def trace_algorithm_steps(n_steps: int) -> tuple:
     trace = np.empty((3, n_steps, n_slots), dtype=int)
     for i in range(n_steps):
         used_labels, rank_labels = DEMO_STEPS[min(i, len(DEMO_STEPS) - 1)]
-        used = np.zeros(n_slots, dtype=bool)
-        used[[index[lab] for lab in used_labels]] = True
-        # synthetic capacities realizing the given ranking
-        b = np.empty(n_slots)
-        for rank, lab in enumerate(rank_labels):
-            b[index[lab]] = n_slots - rank
+        used = np.isin(DEMO_LABELS, list(used_labels))
+        ranking = [index[lab] for lab in rank_labels]
+        b = np.empty(n_slots)       # synthetic capacities in that ranking
+        b[ranking] = np.arange(n_slots, 0, -1)
         psi, priority = memory_update(psi, used, b, DEMO_PSI_UL, DEMO_PSI_LL)
-        trace[:, i] = psi, [index[lab] for lab in rank_labels], priority
+        trace[:, i] = psi, ranking, priority
     return tuple(trace)
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
+import sys
 from dataclasses import asdict, dataclass, fields
 from numbers import Integral, Real
 
@@ -61,18 +61,20 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         """Raise ValueError on any mistyped, non-finite or out-of-range
-        field, so no invalid config can be built."""
+        field, so no invalid config can be built; store numbers as plain
+        int and float, so that 500 and 500.0 build one config."""
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "int" and (isinstance(value, bool)
-                                    or not isinstance(value, Integral)):
-                raise ValueError(f"{f.name} must be an integer")
-            if f.type == "float" and (isinstance(value, bool)
-                                      or not isinstance(value, Real)
-                                      or not math.isfinite(value)):
-                raise ValueError(f"{f.name} must be a finite number")
-        if self.tiers < 0:
-            raise ValueError("tiers must be >= 0")
+            if f.type == "int":
+                if isinstance(value, bool) or not isinstance(value, Integral):
+                    raise ValueError(f"{f.name} must be an integer")
+                object.__setattr__(self, f.name, int(value))
+            elif f.type == "float":
+                # abs(x) <= max fails nan, inf and an int past float range
+                if (isinstance(value, bool) or not isinstance(value, Real)
+                        or not abs(value) <= sys.float_info.max):
+                    raise ValueError(f"{f.name} must be a finite number")
+                object.__setattr__(self, f.name, float(value))
         # distances scale with isd_m; within 1e+-100 m their squares, which
         # the norm takes, stay normal float64 (1e+-308) in any layout
         if not 1e-100 <= self.isd_m <= 1e100:
@@ -88,7 +90,7 @@ class SimConfig:
             raise ValueError("psi_ll must not exceed psi_ul")
         if self.target_rate_mbps <= 0:
             raise ValueError("target_rate_mbps must be > 0")
-        for name in ("p_sleep_w", "p_idle_w", "load_factor"):
+        for name in ("tiers", "p_sleep_w", "p_idle_w", "load_factor", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         for name in ("p_rb_w", "bandwidth_hz", "noise_temp_k", "slot_duration_s"):
@@ -98,8 +100,6 @@ class SimConfig:
         # X < -3150 dB (PL >= 73 dB), 31 sigma below the mean at 100 dB
         if not 0 <= self.shadowing_std_db <= 100:
             raise ValueError("shadowing_std_db must lie in [0, 100]")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
         if self.warmup_frames < 0 or self.warmup_frames >= self.frames:
             raise ValueError("warmup_frames must lie in [0, frames)")
 

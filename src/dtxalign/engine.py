@@ -12,7 +12,7 @@ from dtxalign.channel import build_link_gains, compute_sinr, noise_power
 from dtxalign.config import SimConfig
 from dtxalign.geometry import build_hex_layout, drop_mobiles
 from dtxalign.power import price_cells
-from dtxalign.scheduler import ScheduleMap, allocate_cells, owner_bits
+from dtxalign.scheduler import allocate_cells, owner_bits
 from dtxalign.strategies import (SlotPriorities, rank_by_capacity,
                                  slot_sum_capacity)
 
@@ -126,11 +126,11 @@ class SlotRates:
 def run_drop(config: SimConfig, drop_seed) -> DropResult:
     """Simulate one Monte-Carlo drop into the arrays of its DropResult.
 
-    Every frame runs one body on arrays of cells: the RB bits (its rates
-    and the next frame's estimates) and slot capacities of its transmit
-    pattern; in frame 0 only, every RB scheduled round-robin over mobiles;
-    pricing and delivery; unless it is the last frame, the strategy step
-    and the next schedules.  Frame f fills row f of each array in place.
+    The loop starts from frame 0: every RB round-robin over mobiles, at
+    that all-on pattern's rates.  Every frame runs one body on arrays of
+    cells: pricing and delivery; unless it is the last frame, the strategy
+    step, the next frame's map and planned bits, estimated from this
+    frame's rates, then the next frame's rates.  Row f is frame f's.
 
     A frame's transmit pattern and the strategy state at its top decide
     every later frame.  Once they equal frame g's (_frame_key, kept for
@@ -165,29 +165,26 @@ def run_drop(config: SimConfig, drop_seed) -> DropResult:
     infeasible = np.empty((n_frames, k_mob), dtype=bool)
     psi, ranking, priority = (np.empty((n_frames - 1, n_slots), dtype=int)
                               for _ in range(3))
-    active = np.ones((n_cells, config.subcarriers, n_slots), dtype=bool)
+    # any all-nonzero assignment works; round-robin over mobiles
+    pi = np.indices((config.subcarriers, n_slots)).sum(axis=0) % k_mob + 1
+    pi = np.broadcast_to(pi, (n_cells, config.subcarriers, n_slots))
+    active = pi > 0
     rates = SlotRates(gains, config)
+    rates.update(active)
     bits, b = rates.bits, rates.b
+    planned = owner_bits(bits[0], pi[0])
+    shortfall = np.zeros((n_cells, k_mob), dtype=bool)
     seen, cycle = {}, None
 
     for f in range(n_frames):
-        rates.update(active)
-        if f == 0:
-            # any all-nonzero assignment works; round-robin over mobiles
-            pi = np.indices(active.shape[1:]).sum(axis=0) % k_mob + 1
-            pi = np.broadcast_to(pi, active.shape)
-            schedule = ScheduleMap(pi, owner_bits(bits, pi),
-                                   np.zeros((n_cells, k_mob), dtype=bool))
-
-        power[f] = price_cells(schedule.pi, config)
+        power[f] = price_cells(pi, config)
         # the center cell's bits per mobile: scheduled, and delivered
         # where this frame's rate still carries them
-        pi0, planned = schedule.pi[0].ravel(), schedule.bits[0].ravel()
-        kept = owner_bits(bits[0], schedule.pi[0]).ravel() \
-            >= planned * (1.0 - DELIVERY_RTOL)
-        scheduled[f] = np.bincount(pi0, planned, k_mob + 1)[1:]
-        delivered[f] = np.bincount(pi0, planned * kept, k_mob + 1)[1:]
-        infeasible[f] = schedule.infeasible[0]
+        pi0 = pi[0].ravel()
+        kept = owner_bits(bits[0], pi[0]) >= planned * (1.0 - DELIVERY_RTOL)
+        scheduled[f] = np.bincount(pi0, planned.ravel(), k_mob + 1)[1:]
+        delivered[f] = np.bincount(pi0, (planned * kept).ravel(), k_mob + 1)[1:]
+        infeasible[f] = shortfall[0]
 
         if f + 1 == n_frames:
             break
@@ -200,8 +197,11 @@ def run_drop(config: SimConfig, drop_seed) -> DropResult:
         if g < f:
             cycle = (f + 1, f - g)
             break
-        schedule = allocate_cells(priorities, bits, targets)
-        active = schedule.pi > 0
+        pi, shortfall = allocate_cells(priorities, bits, targets)
+        # bits still holds this frame's rates: the next frame's estimates
+        planned = owner_bits(bits[0], pi[0])
+        active = pi > 0
+        rates.update(active)
 
     if cycle is not None:
         f, period = cycle

@@ -11,12 +11,16 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_table(path: str, config_hash: str, header: list, rows: list) -> None:
+def _write_table(outdir: str, name: str, config_hash: str, header: list,
+                 rows: list) -> str:
+    """Write the table to outdir/name and return its path."""
+    path = os.path.join(outdir, name)
     with open(path, "w") as fh:
         fh.write(f"# config_hash={config_hash}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+    return path
 
 
 def write_sweep(summaries: list, outdir: str, config_hash: str) -> str:
@@ -30,9 +34,7 @@ def write_sweep(summaries: list, outdir: str, config_hash: str) -> str:
          s.retransmission_prob, s.outage_rate, s.convergence_frame)
         for s in summaries
     ]
-    path = os.path.join(outdir, "sweep.csv")
-    _write_table(path, config_hash, header, rows)
-    return path
+    return _write_table(outdir, "sweep.csv", config_hash, header, rows)
 
 
 def write_trace(summaries: list, outdir: str, config_hash: str) -> str:
@@ -40,13 +42,9 @@ def write_trace(summaries: list, outdir: str, config_hash: str) -> str:
     if not summaries:
         raise ValueError("no summaries to write")
     header = ["strategy", "rate_mbps", "frame", "power_w"]
-    rows = []
-    for s in summaries:
-        for f, p in enumerate(s.power_trace_w):
-            rows.append((s.strategy, s.rate_mbps, f, float(p)))
-    path = os.path.join(outdir, "trace.csv")
-    _write_table(path, config_hash, header, rows)
-    return path
+    rows = [(s.strategy, s.rate_mbps, f, float(p))
+            for s in summaries for f, p in enumerate(s.power_trace_w)]
+    return _write_table(outdir, "trace.csv", config_hash, header, rows)
 
 
 def write_algo_trace(trace: tuple, outdir: str, config_hash: str,
@@ -66,6 +64,5 @@ def write_algo_trace(trace: tuple, outdir: str, config_hash: str,
     rows = [(i + 1, "|".join(f"{lab}:{x}" for lab, x in zip(labels, p)),
              slots(r), slots(v))
             for i, (p, r, v) in enumerate(zip(psi, ranking, priority))]
-    path = os.path.join(outdir, "algorithm_trace.csv")
-    _write_table(path, config_hash, header, rows)
-    return path
+    return _write_table(outdir, "algorithm_trace.csv", config_hash, header,
+                        rows)

@@ -9,17 +9,17 @@ import numpy as np
 
 @dataclass(frozen=True)
 class ScheduleMap:
-    """RB assignment for one frame, of one cell or of every cell.
+    """One cell's RB assignment for one frame, as allocate_from_bits
+    returns it.
 
-    pi[..., n, t] holds 1-based mobile ids, 0 meaning unscheduled.
-    bits[..., n, t] is the rate scheduled on that RB from last frame's SINR
-    estimate.  A map of every cell has a leading cell axis on all three
-    arrays; the count below describes a one-cell map.
+    pi[n, t] holds 1-based mobile ids, 0 meaning unscheduled.  bits[n, t]
+    is the rate scheduled on that RB from the estimate the map was
+    allocated against, owner_bits(est_bits, pi).
     """
 
-    pi: np.ndarray            # ([C,] N, T) int in {0..K}
-    bits: np.ndarray          # ([C,] N, T) float
-    infeasible: np.ndarray    # ([C,] K) bool, target could not be met
+    pi: np.ndarray            # (N, T) int in {0..K}
+    bits: np.ndarray          # (N, T) float
+    infeasible: np.ndarray    # (K,) bool, target could not be met
 
     @property
     def num_scheduled_rbs(self) -> int:
@@ -35,7 +35,7 @@ def owner_bits(bits: np.ndarray, pi: np.ndarray) -> np.ndarray:
 
 
 def allocate_cells(priorities: np.ndarray, est_bits: np.ndarray,
-                   targets: np.ndarray) -> ScheduleMap:
+                   targets: np.ndarray) -> tuple:
     """Greedy sequential fill of every cell's RB grid at once.
 
     priorities[c] is cell c's slot priority row and est_bits[c, n, t, k]
@@ -46,6 +46,8 @@ def allocate_cells(priorities: np.ndarray, est_bits: np.ndarray,
     mobile are skipped and stay available.  Mobiles whose target cannot be
     met are marked infeasible (they keep everything they could grab).
     Cells never interact: row c equals allocate_from_bits of cell c alone.
+    Returns the map pi (C, N, T) of 1-based mobile ids, 0 unscheduled,
+    and the flags infeasible (C, K); RB bits are owner_bits(est_bits, pi).
     """
     est_bits = np.asarray(est_bits, dtype=float)
     n_cells, n_sub, n_slots, k_mob = est_bits.shape
@@ -59,14 +61,13 @@ def allocate_cells(priorities: np.ndarray, est_bits: np.ndarray,
     first = (np.arange(n_cells)[:, None] * (n_sub * n_slots) + grid_pos) * k_mob
     flat = est_bits.reshape(-1)
     shape = grid_pos.shape
-    # in consumption order: each RB's mobile (0 free) and its bits for it
-    owner, owned_bits = np.zeros(shape, dtype=int), np.zeros(shape)
+    # in consumption order: each RB's mobile, 0 while free
+    owner = np.zeros(shape, dtype=int)
     free = np.ones(shape, dtype=bool)
     infeasible = np.empty((n_cells, k_mob), dtype=bool)
     # buffers reused for every mobile; prefix[:, j] holds the candidate
     # bits before RB j, prefix[:, -1] all of them
     bk = np.empty(shape)
-    candidate_bits = np.empty(shape)
     candidate = np.empty(shape, dtype=bool)
     taken = np.empty(shape, dtype=bool)
     prefix = np.zeros((n_cells, shape[1] + 1))
@@ -76,28 +77,25 @@ def allocate_cells(priorities: np.ndarray, est_bits: np.ndarray,
         np.greater(bk, 0.0, out=candidate)
         candidate &= free
         # exact: bits are finite and >= 0, so x * 1 = x and x * 0 = 0
-        np.multiply(bk, candidate, out=candidate_bits)
-        np.cumsum(candidate_bits, axis=1, out=prefix[:, 1:])
+        np.multiply(bk, candidate, out=bk)
+        np.cumsum(bk, axis=1, out=prefix[:, 1:])
         infeasible[:, k] = prefix[:, -1] < targets[k]
         # a candidate is taken while the bits before it fall short
         np.less(prefix[:, :-1], targets[k], out=taken)
         taken &= candidate
         np.copyto(owner, k + 1, where=taken)
-        np.copyto(owned_bits, bk, where=taken)
         free ^= taken
-    pi, bits = np.empty(shape, dtype=int), np.empty(shape)
+    pi = np.empty(shape, dtype=int)
     np.put_along_axis(pi, grid_pos, owner, axis=1)
-    np.put_along_axis(bits, grid_pos, owned_bits, axis=1)
-    grid = (n_cells, n_sub, n_slots)
-    return ScheduleMap(pi=pi.reshape(grid), bits=bits.reshape(grid),
-                       infeasible=infeasible)
+    return pi.reshape(n_cells, n_sub, n_slots), infeasible
 
 
 def allocate_from_bits(priority: tuple, est_bits: np.ndarray,
                        targets: np.ndarray) -> ScheduleMap:
     """Greedy sequential fill of one cell's RB grid: allocate_cells with a
     single cell, priority (T,) and est_bits[n, t, k]."""
-    cells = allocate_cells(np.asarray(priority)[None],
-                           np.asarray(est_bits)[None], targets)
-    return ScheduleMap(pi=cells.pi[0], bits=cells.bits[0],
-                       infeasible=cells.infeasible[0])
+    est_bits = np.asarray(est_bits, dtype=float)
+    pi, infeasible = allocate_cells(np.asarray(priority)[None],
+                                    est_bits[None], targets)
+    return ScheduleMap(pi=pi[0], bits=owner_bits(est_bits, pi[0]),
+                       infeasible=infeasible[0])

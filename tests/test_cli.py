@@ -74,6 +74,7 @@ def test_parse_config_rejects_invalid_values(tmp_path):
     "psi_ul: 2.5",
     "seed: -1",
     "p_rb_w: 0.0",
+    pytest.param("isd_m: 1" + "0" * 400, id="isd_m: 10**400"),
 ])
 def test_run_rejects_bad_config_value(line, tmp_path, capsys):
     path = tmp_path / "bad.yaml"
@@ -82,6 +83,24 @@ def test_run_rejects_bad_config_value(line, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert rc == 1
     assert any(ln.startswith("error: invalid configuration") for ln in err)
+
+
+def test_config_hash_ignores_how_a_number_is_spelled(tmp_path):
+    # an int given for a float field, and numpy's int for an int field,
+    # build the same config as the plain float and int: same hash
+    assert SimConfig(isd_m=500).config_hash() == \
+        SimConfig(isd_m=500.0).config_hash()
+    seeded = SimConfig(seed=np.int64(3))
+    assert type(seeded.seed) is int
+    assert seeded.config_hash() == SimConfig(seed=3).config_hash()
+    hashes = set()
+    for text in ("isd_m: 500\n", "isd_m: 500.0\n"):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        config = parse_config(str(path), {})
+        assert type(config.isd_m) is float
+        hashes.add(config.config_hash())
+    assert hashes == {SimConfig().config_hash()}
 
 
 # A small run for the boundary test: tiers <= 1, <= 4 subcarriers, <= 3
@@ -221,6 +240,14 @@ def test_parse_config_rejects_non_mapping(tmp_path):
 
 def test_parse_rates():
     assert parse_rates("0.5:1.5:0.5") == pytest.approx([0.5, 1.0, 1.5])
+    # a range stops at its last step within the stop, never past it,
+    # and keeps a stop that rounding puts a hair short of a step
+    assert parse_rates("1:1.8:0.3") == pytest.approx([1.0, 1.3, 1.6])
+    assert parse_rates("1:2.45:0.5") == pytest.approx([1.0, 1.5, 2.0])
+    assert parse_rates("0.1:0.3:0.1") == pytest.approx([0.1, 0.2, 0.3])
+    assert parse_rates("0.5:3.0:0.25") == pytest.approx(
+        [0.5 + 0.25 * i for i in range(11)])
+    assert len(parse_rates("1:1000:1")) == cli.MAX_RATES
     assert parse_rates("2") == [2.0]
     assert parse_rates("1,2.5") == [1.0, 2.5]
     for bad in ("1:2", "2:1:0.5", "1:2:-1", "0", "-1,2"):
@@ -276,6 +303,25 @@ def test_empty_strategy_list_is_an_error(spec, small_yaml, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert rc == 1
     assert len(err) == 1 and err[0] == "error: no strategies given"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option,spec,message", [
+    ("--strategies", "memory,memory", "strategies must not repeat"),
+    ("--strategies", "random,memory,random", "strategies must not repeat"),
+    ("--rates", "1,1.0", "rates must not repeat"),
+    ("--rates", "0.5,2,0.50", "rates must not repeat"),
+])
+def test_repeated_sweep_entry_is_an_error(option, spec, message, small_yaml,
+                                          tmp_path, capsys):
+    # a repeated (strategy, rate) pair would run its drops twice and
+    # write its rows twice
+    out = tmp_path / "res"
+    rc = main(["sweep", "--config", small_yaml, option, spec,
+               "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert err == [f"error: {message}"]
     assert not out.exists()
 
 

@@ -269,6 +269,43 @@ def test_frame_zero_bits_from_its_own_sinr(monkeypatch):
         assert scheduled[k] == pytest.approx(want, rel=1e-12)
 
 
+def test_each_frame_schedules_at_the_last_frames_rates(monkeypatch):
+    """Frame f >= 1 transmits the map allocate_cells made at the end of
+    frame f - 1 from that frame's rates: its scheduled bits are those
+    rates summed per mobile over the center cell's map, and its shortfall
+    flags are the call's."""
+    rates_after_update, calls = [], []
+    update, allocate_cells = engine.SlotRates.update, engine.allocate_cells
+
+    def recording_update(self, active):
+        stale = update(self, active)
+        rates_after_update.append(self.bits.copy())
+        return stale
+
+    def recording_allocate(priorities, est_bits, targets):
+        pi, infeasible = allocate_cells(priorities, est_bits, targets)
+        calls.append((pi.copy(), est_bits.copy(), infeasible.copy()))
+        return pi, infeasible
+
+    monkeypatch.setattr(engine.SlotRates, "update", recording_update)
+    monkeypatch.setattr(engine, "allocate_cells", recording_allocate)
+    for strat in STRATEGIES:
+        cfg = small_config(strategy=strat)
+        rates_after_update.clear()
+        calls.clear()
+        result = run_drop(cfg, 0)
+        simulated = cfg.frames if result.cycle is None else result.cycle[0]
+        assert len(rates_after_update) == simulated, strat
+        assert len(calls) == simulated - 1, strat
+        for f, (pi, est, shortfall) in enumerate(calls, start=1):
+            assert est.tobytes() == rates_after_update[f - 1].tobytes()
+            want = [est[0][pi[0] == k + 1, k].sum()
+                    for k in range(cfg.mobiles_per_cell)]
+            np.testing.assert_allclose(result.scheduled_bits[f], want,
+                                       rtol=1e-12, err_msg=f"{strat} {f}")
+            np.testing.assert_array_equal(result.infeasible[f], shortfall[0])
+
+
 def test_drop_determinism():
     cfg = small_config(strategy="memory")
     _assert_same_drop(run_drop(cfg, 42), run_drop(cfg, 42))
@@ -473,10 +510,14 @@ def test_run_experiment_inside_a_pool_worker(monkeypatch):
 
 
 # scripts/drop_digest.py hashes every array of 64 drops' records, the
-# center cell's scheduled and delivered bits included.  The pin holds for
-# Python 3.11.7 with numpy 2.4.6; another build may round differently.  A
-# change to the pin needs an argument in CHANGES.md.
+# center cell's scheduled and delivered bits included, and counts the work
+# they took: a change that loses replay or slot reuse fails on the counts
+# even where the digest holds.  The pins hold for Python 3.11.7 with numpy
+# 2.4.6; another build may round differently.  A change to a pin needs an
+# argument in CHANGES.md.
 DROP_DIGEST = "5b42e389f67fc5435a5760d40cf0dacf698a550b83806efa8a67b07c845856e5"
+DROP_WORK = ("28 of 64 drops replayed; 2,100 of 3,200 frames simulated; "
+             "13,069 of 32,000 slot SINRs computed")
 
 
 def test_drop_digest_pinned():
@@ -484,3 +525,4 @@ def test_drop_digest_pinned():
     done = subprocess.run([sys.executable, str(script)], capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == DROP_DIGEST
+    assert done.stderr.strip() == DROP_WORK

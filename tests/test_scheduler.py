@@ -200,15 +200,16 @@ def test_allocate_cells_equals_oracle_per_cell(seed):
     targets = rng.uniform(100.0, 3000.0, size=k_mob)
     targets[rng.random(k_mob) < 0.2] = 0.0
     priorities = np.array([rng.permutation(n_slots) for _ in range(n_cells)])
-    sched = allocate_cells(priorities, est, targets)
-    assert sched.pi.shape == sched.bits.shape == (n_cells, n_sub, n_slots)
-    assert sched.infeasible.shape == (n_cells, k_mob)
+    pi, infeasible = allocate_cells(priorities, est, targets)
+    bits = owner_bits(est, pi)
+    assert pi.shape == bits.shape == (n_cells, n_sub, n_slots)
+    assert infeasible.shape == (n_cells, k_mob)
     for c in range(n_cells):
         pi_ref, inf_ref = oracle_allocate(tuple(priorities[c]), est[c], targets)
-        np.testing.assert_array_equal(sched.pi[c], pi_ref)
-        np.testing.assert_array_equal(sched.infeasible[c], inf_ref)
+        np.testing.assert_array_equal(pi[c], pi_ref)
+        np.testing.assert_array_equal(infeasible[c], inf_ref)
         mask = pi_ref > 0
         np.testing.assert_array_equal(
-            sched.bits[c][mask],
+            bits[c][mask],
             est[c][mask.nonzero()[0], mask.nonzero()[1], pi_ref[mask] - 1])
-        assert np.all(sched.bits[c][~mask] == 0)
+        assert np.all(bits[c][~mask] == 0)

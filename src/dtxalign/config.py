@@ -79,18 +79,27 @@ class SimConfig:
         # the norm takes, stay normal float64 (1e+-308) in any layout
         if not 1e-100 <= self.isd_m <= 1e100:
             raise ValueError("isd_m must lie in [1e-100, 1e100]")
-        for name in ("mobiles_per_cell", "subcarriers", "slots", "frames", "drops"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        # int fields lie in [least, most]; each most is past any study and
+        # stops a value before it overflows int64 or loops long in Python
+        for name, least, most in (
+                ("tiers", 0, 100),              # layout loops (2 tiers + 1)^2
+                ("mobiles_per_cell", 1, 2**40),  # 8 TiB axis of float64s
+                ("subcarriers", 1, 2**40),      # 8 TiB axis of float64s
+                ("slots", 1, 2**40),            # 8 TiB axis of float64s
+                ("frames", 1, 2**40),           # 8 TiB axis of float64s
+                ("drops", 1, 10**5),            # seeds spawn first, 8 us each
+                ("psi_ll", -2**62, self.psi_ul),  # int64 scores step by one
+                ("psi_ul", self.psi_ll, 2**62),   # int64 scores step by one
+                ("warmup_frames", 0, self.frames - 1)):
+            if not least <= getattr(self, name) <= most:
+                raise ValueError(f"{name} must lie in [{least}, {most}]")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}")
         if not 0.0 <= self.p_persist <= 1.0:
             raise ValueError("p_persist must lie in [0, 1]")
-        if self.psi_ll > self.psi_ul:
-            raise ValueError("psi_ll must not exceed psi_ul")
         if self.target_rate_mbps <= 0:
             raise ValueError("target_rate_mbps must be > 0")
-        for name in ("tiers", "p_sleep_w", "p_idle_w", "load_factor", "seed"):
+        for name in ("p_sleep_w", "p_idle_w", "load_factor", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         for name in ("p_rb_w", "bandwidth_hz", "noise_temp_k", "slot_duration_s"):
@@ -100,8 +109,6 @@ class SimConfig:
         # X < -3150 dB (PL >= 73 dB), 31 sigma below the mean at 100 dB
         if not 0 <= self.shadowing_std_db <= 100:
             raise ValueError("shadowing_std_db must lie in [0, 100]")
-        if self.warmup_frames < 0 or self.warmup_frames >= self.frames:
-            raise ValueError("warmup_frames must lie in [0, frames)")
 
     def config_hash(self) -> str:
         """Short stable hash of the resolved configuration."""

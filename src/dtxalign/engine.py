@@ -12,7 +12,7 @@ from dtxalign.channel import build_link_gains, compute_sinr, noise_power
 from dtxalign.config import SimConfig
 from dtxalign.geometry import build_hex_layout, drop_mobiles
 from dtxalign.power import price_cells
-from dtxalign.scheduler import allocate_cells, owner_bits
+from dtxalign.scheduler import allocate_cells
 from dtxalign.strategies import (SlotPriorities, rank_by_capacity,
                                  slot_sum_capacity)
 
@@ -23,22 +23,19 @@ DELIVERY_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class DropResult:
-    """The record of one drop, frame-major: row f of each array is frame f.
-
-    Per-mobile arrays and the slot rows refer to the center cell, cell 0.
-    Row f of `psi`, `ranking` and `priority` is the strategy step at the
-    end of frame f, which sets up frame f + 1; `psi` stays at `psi_ll`
-    for every strategy but memory.
-    """
+    """The record of one drop, frame-major: row f of each array is frame f,
+    and holds every cell.  Row f of `psi`, `ranking` and `priority` is the
+    strategy step at the end of frame f, which sets up frame f + 1; `psi`
+    stays at `psi_ll` for every strategy but memory."""
 
     cell_power_w: np.ndarray       # (F, C) total power of every cell
-    scheduled_bits: np.ndarray     # (F, K)
-    delivered_bits: np.ndarray     # (F, K)
-    retransmission: np.ndarray     # (F, K) bool: delivered < target
-    infeasible: np.ndarray         # (F, K) bool: target not schedulable
-    psi: np.ndarray                # (F - 1, T) memory scores
-    ranking: np.ndarray            # (F - 1, T) slots by capacity
-    priority: np.ndarray           # (F - 1, T) slot priority row
+    scheduled_bits: np.ndarray     # (F, C, K)
+    delivered_bits: np.ndarray     # (F, C, K)
+    retransmission: np.ndarray     # (F, C, K) bool: delivered < target
+    infeasible: np.ndarray         # (F, C, K) bool: target not schedulable
+    psi: np.ndarray                # (F - 1, C, T) memory scores
+    ranking: np.ndarray            # (F - 1, C, T) slots by capacity
+    priority: np.ndarray           # (F - 1, C, T) slot priority rows
     cycle: tuple | None = None     # (first replayed frame, period)
 
     @property
@@ -76,9 +73,8 @@ def convergence_frame(trace: np.ndarray, rel_tol: float) -> int:
 
 def retransmission_probability(retransmission: np.ndarray,
                                infeasible: np.ndarray) -> float:
-    """Fraction of (frame, center-cell mobile) pairs flagged for
-    retransmission, from (F, K) flags; infeasible mobiles count as
-    flagged."""
+    """Fraction of (frame, mobile) pairs flagged for retransmission, from
+    (F, K) or (F, C, K) flags; infeasible mobiles count as flagged."""
     flags = retransmission | infeasible
     if not flags.size:
         raise ValueError("no frames")
@@ -160,10 +156,9 @@ def run_drop(config: SimConfig, drop_seed) -> DropResult:
 
     n_frames, n_slots = config.frames, config.slots
     power = np.empty((n_frames, n_cells))
-    scheduled = np.empty((n_frames, k_mob))
-    delivered = np.empty((n_frames, k_mob))
-    infeasible = np.empty((n_frames, k_mob), dtype=bool)
-    psi, ranking, priority = (np.empty((n_frames - 1, n_slots), dtype=int)
+    scheduled, delivered, infeasible = (
+        np.empty((n_frames, n_cells, k_mob), t) for t in (float, float, bool))
+    psi, ranking, priority = (np.empty((n_frames - 1, n_cells, n_slots), int)
                               for _ in range(3))
     # any all-nonzero assignment works; round-robin over mobiles
     pi = np.indices((config.subcarriers, n_slots)).sum(axis=0) % k_mob + 1
@@ -172,37 +167,38 @@ def run_drop(config: SimConfig, drop_seed) -> DropResult:
     rates = SlotRates(gains, config)
     rates.update(active)
     bits, b = rates.bits, rates.b
-    planned = owner_bits(bits[0], pi[0])
+    at, bins, planned = _plan(pi, bits)
     shortfall = np.zeros((n_cells, k_mob), dtype=bool)
     seen, cycle = {}, None
 
     for f in range(n_frames):
         power[f] = price_cells(pi, config)
-        # the center cell's bits per mobile: scheduled, and delivered
-        # where this frame's rate still carries them
-        pi0 = pi[0].ravel()
-        kept = owner_bits(bits[0], pi[0]) >= planned * (1.0 - DELIVERY_RTOL)
-        scheduled[f] = np.bincount(pi0, planned.ravel(), k_mob + 1)[1:]
-        delivered[f] = np.bincount(pi0, (planned * kept).ravel(), k_mob + 1)[1:]
-        infeasible[f] = shortfall[0]
+        # every cell's bits per mobile: scheduled, and delivered where this
+        # frame's rate still carries them
+        kept = bits.take(at) >= planned * (1.0 - DELIVERY_RTOL)
+        for out, w in ((scheduled, planned), (delivered, planned * kept)):
+            out[f] = np.bincount(bins, w, n_cells * k_mob).reshape(n_cells, -1)
+        infeasible[f] = shortfall
 
         if f + 1 == n_frames:
             break
         key = _frame_key(active, strategy)
         g = f if key is None else seen.setdefault(key, f)
         priorities = strategy.step(b, active.any(axis=1))
-        psi[f] = strategy.psi[0]
-        ranking[f] = rank_by_capacity(b[0])
-        priority[f] = priorities[0]
+        psi[f] = strategy.psi
+        ranking[f] = rank_by_capacity(b)
+        priority[f] = priorities
         if g < f:
             cycle = (f + 1, f - g)
             break
         pi, shortfall = allocate_cells(priorities, bits, targets)
         # bits still holds this frame's rates: the next frame's estimates
-        planned = owner_bits(bits[0], pi[0])
+        at, bins, planned = _plan(pi, bits)
         active = pi > 0
         rates.update(active)
 
+    # free the gains and rates before replay fills the record: RSS peaks lower
+    del gains, rates, bits, b
     if cycle is not None:
         f, period = cycle
         for a in (power, scheduled, delivered, infeasible, psi, ranking,
@@ -213,6 +209,15 @@ def run_drop(config: SimConfig, drop_seed) -> DropResult:
         retransmission=delivered < targets * (1.0 - DELIVERY_RTOL),
         infeasible=infeasible, psi=psi, ranking=ranking, priority=priority,
         cycle=cycle)
+
+
+def _plan(pi: np.ndarray, bits: np.ndarray) -> tuple:
+    """Per scheduled RB of maps pi (C, N, T), in RB order: its flat index in
+    rates (C, N, T, K), bin c K + pi - 1 of its cell c, and its `bits`."""
+    rb, k_mob = np.flatnonzero(pi > 0), bits.shape[-1]
+    mobile = pi.take(rb) - 1
+    at = rb * k_mob + mobile
+    return at, rb // (pi.size // len(pi)) * k_mob + mobile, bits.take(at)
 
 
 def _frame_key(active: np.ndarray, strategy: SlotPriorities) -> tuple | None:
@@ -231,19 +236,19 @@ def _usable_cpus() -> int:
 
 def _drop_stats(task) -> tuple:
     """Simulate one (config, drop seed, keep algorithm trace) job of
-    run_experiment and return only what its summary needs: the center
-    cell's power trace, the steady-state retransmission and outage rates,
-    and the center cell's psi, ranking and priority rows if asked for,
-    else None."""
+    run_experiment and return what its summary needs of the center cell,
+    cell 0, which this alone picks: its power trace, steady-state
+    retransmission and outage rates, and its psi, ranking and priority
+    rows if asked for (copies: a view would keep every cell's), else None."""
     config, drop_seed, keep_algo_trace = task
     result = run_drop(config, drop_seed)
     w = config.warmup_frames
     return (result.cell_power_w[:, 0],
-            retransmission_probability(result.retransmission[w:],
-                                       result.infeasible[w:]),
-            float(result.infeasible[w:].mean()),
-            (result.psi, result.ranking, result.priority)
-            if keep_algo_trace else None)
+            retransmission_probability(result.retransmission[w:, 0],
+                                       result.infeasible[w:, 0]),
+            float(result.infeasible[w:, 0].mean()),
+            (result.psi[:, 0].copy(), result.ranking[:, 0].copy(),
+             result.priority[:, 0].copy()) if keep_algo_trace else None)
 
 
 def _drop_stats_share(jobs: list) -> list:

@@ -30,8 +30,11 @@ def owner_bits(bits: np.ndarray, pi: np.ndarray) -> np.ndarray:
     """The bits each RB carries for the mobile pi assigns it to:
     bits[..., n, t, pi - 1] where pi > 0 and 0 elsewhere, from bits
     ([C,] N, T, K) and pi ([C,] N, T)."""
-    got = np.take_along_axis(bits, pi[..., None] - 1, axis=-1)[..., 0]
-    return np.where(pi > 0, got, 0.0)
+    # RB i's bits for mobile pi at i K + pi - 1; "clip" keeps -1 in range
+    index = np.arange(pi.size).reshape(pi.shape) * bits.shape[-1] + pi - 1
+    got = np.take(np.ravel(bits), index, mode="clip")
+    got[pi == 0] = 0.0
+    return got
 
 
 def allocate_cells(priorities: np.ndarray, est_bits: np.ndarray,

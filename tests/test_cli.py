@@ -75,6 +75,11 @@ def test_parse_config_rejects_invalid_values(tmp_path):
     "seed: -1",
     "p_rb_w: 0.0",
     pytest.param("isd_m: 1" + "0" * 400, id="isd_m: 10**400"),
+    pytest.param("frames: 1" + "0" * 30, id="frames: 10**30"),
+    pytest.param("psi_ul: 1" + "0" * 30, id="psi_ul: 10**30"),
+    pytest.param("psi_ll: -1" + "0" * 30, id="psi_ll: -10**30"),
+    pytest.param("tiers: 1" + "0" * 30, id="tiers: 10**30"),
+    pytest.param("drops: 1" + "0" * 30, id="drops: 10**30"),
 ])
 def test_run_rejects_bad_config_value(line, tmp_path, capsys):
     path = tmp_path / "bad.yaml"
@@ -136,6 +141,19 @@ BOUNDS = {
     "warmup_frames": (0, -1, 3, 4),    # frames is 4
     "seed": (0, -1),
 }
+# The upper bounds of int fields, tested like BOUNDS but kept out of the
+# boundary draws, which would run the accepted 2^40-frame or 10^5-drop
+# config.
+UPPER_BOUNDS = {
+    "tiers": (100, 101),
+    "mobiles_per_cell": (2**40, 2**40 + 1),
+    "subcarriers": (2**40, 2**40 + 1),
+    "slots": (2**40, 2**40 + 1),
+    "frames": (2**40, 2**40 + 1),
+    "drops": (10**5, 10**5 + 1),
+    "psi_ul": (2**62, 2**62 + 1),
+    "psi_ll": (-2**62, -2**62 - 1),
+}
 DEFAULTS = {f.name: f.default for f in dataclasses.fields(SimConfig)}
 
 
@@ -163,11 +181,11 @@ def boundary_value(name):
 
 @pytest.mark.parametrize("name", BOUNDS)
 def test_config_bounds_exact(name):
-    """In each (bound, neighbour) pair of BOUNDS exactly one value builds,
-    the one on the side of the field's valid value in BOUNDARY_YAML (or
-    its default), so each rule sits exactly at its bound.  Every strategy
-    builds."""
-    values = BOUNDS[name]
+    """In each (bound, neighbour) pair of BOUNDS and UPPER_BOUNDS exactly
+    one value builds, the one on the side of the field's valid value in
+    BOUNDARY_YAML (or its default), so each rule sits exactly at its
+    bound.  Every strategy builds."""
+    values = BOUNDS[name] + UPPER_BOUNDS.get(name, ())
     if name == "strategy":
         assert all(_accepted(name, v) for v in values)
         return
@@ -375,8 +393,8 @@ def test_run_simulates_each_drop_once(small_yaml, tmp_path, monkeypatch, capsys)
     first = run_drop(config, np.random.SeedSequence(config.seed).spawn(2)[0])
     ref = str(tmp_path / "ref")
     os.makedirs(ref)
-    write_algo_trace((first.psi, first.ranking, first.priority), ref,
-                     config.config_hash())
+    write_algo_trace((first.psi[:, 0], first.ranking[:, 0],
+                      first.priority[:, 0]), ref, config.config_hash())
     assert read_lines(os.path.join(out, "algorithm_trace.csv")) == \
         read_lines(os.path.join(ref, "algorithm_trace.csv"))
 

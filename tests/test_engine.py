@@ -257,7 +257,7 @@ def test_slot_reuse_equals_full_recompute(n_cells, n_sub, n_slots, k_mob,
 def test_frame_zero_bits_from_its_own_sinr(monkeypatch):
     calls = _record_compute_sinr(monkeypatch)
     cfg = small_config()
-    scheduled = run_drop(cfg, 0).scheduled_bits[0]
+    scheduled = run_drop(cfg, 0).scheduled_bits[0, 0]
     s = calls[0][1][0]                      # frame 0, the center cell
     n, t = np.meshgrid(np.arange(cfg.subcarriers), np.arange(cfg.slots),
                        indexing="ij")
@@ -271,9 +271,9 @@ def test_frame_zero_bits_from_its_own_sinr(monkeypatch):
 
 def test_each_frame_schedules_at_the_last_frames_rates(monkeypatch):
     """Frame f >= 1 transmits the map allocate_cells made at the end of
-    frame f - 1 from that frame's rates: its scheduled bits are those
-    rates summed per mobile over the center cell's map, and its shortfall
-    flags are the call's."""
+    frame f - 1 from that frame's rates: in every cell, its scheduled bits
+    are those rates summed per mobile over the cell's map, and its
+    shortfall flags are the call's."""
     rates_after_update, calls = [], []
     update, allocate_cells = engine.SlotRates.update, engine.allocate_cells
 
@@ -299,11 +299,12 @@ def test_each_frame_schedules_at_the_last_frames_rates(monkeypatch):
         assert len(calls) == simulated - 1, strat
         for f, (pi, est, shortfall) in enumerate(calls, start=1):
             assert est.tobytes() == rates_after_update[f - 1].tobytes()
-            want = [est[0][pi[0] == k + 1, k].sum()
-                    for k in range(cfg.mobiles_per_cell)]
+            want = [[est[c][pi[c] == k + 1, k].sum()
+                     for k in range(cfg.mobiles_per_cell)]
+                    for c in range(cfg.num_cells)]
             np.testing.assert_allclose(result.scheduled_bits[f], want,
                                        rtol=1e-12, err_msg=f"{strat} {f}")
-            np.testing.assert_array_equal(result.infeasible[f], shortfall[0])
+            np.testing.assert_array_equal(result.infeasible[f], shortfall)
 
 
 def test_drop_determinism():
@@ -336,16 +337,17 @@ def test_slot_rows_for_every_strategy():
     for strat in STRATEGIES:
         cfg = small_config(strategy=strat)
         result = run_drop(cfg, 0)
-        shape = (cfg.frames - 1, cfg.slots)
+        shape = (cfg.frames - 1, cfg.num_cells, cfg.slots)
         assert result.psi.shape == result.ranking.shape == shape, strat
         assert result.priority.shape == shape, strat
-        slots = np.arange(cfg.slots)
-        for rows in (result.priority, result.ranking):
-            np.testing.assert_array_equal(np.sort(rows),
-                                          np.broadcast_to(slots, shape))
-        assert np.all((cfg.psi_ll <= result.psi) & (result.psi <= cfg.psi_ul))
-        if strat != "memory":
-            assert np.all(result.psi == cfg.psi_ll), strat
+        slots = np.broadcast_to(np.arange(cfg.slots), shape[::2])
+        for c in range(cfg.num_cells):
+            for rows in (result.priority[:, c], result.ranking[:, c]):
+                np.testing.assert_array_equal(np.sort(rows), slots)
+            psi = result.psi[:, c]
+            assert np.all((cfg.psi_ll <= psi) & (psi <= cfg.psi_ul)), strat
+            if strat != "memory":
+                assert np.all(psi == cfg.psi_ll), strat
 
 
 def test_memory_settles_without_neighbours():
@@ -370,19 +372,29 @@ def test_scheduled_vs_delivered_accounting():
     for strat in STRATEGIES:
         cfg = small_config(strategy=strat)
         result = run_drop(cfg, 11)
-        assert np.all(result.delivered_bits <= result.scheduled_bits)
-        # a mobile with delivered >= target is never flagged
-        met = result.delivered_bits >= cfg.target_bits_per_frame
-        assert not np.any(met & result.retransmission)
-        # frame 0 transmits at the rates its own all-on SINR carries, so
-        # nothing fails; flags there only mark a full-power shortfall
-        np.testing.assert_array_equal(result.delivered_bits[0],
-                                      result.scheduled_bits[0])
-        np.testing.assert_array_equal(
-            result.retransmission[0],
-            result.scheduled_bits[0] < cfg.target_bits_per_frame)
+        target = cfg.target_bits_per_frame
+        shape = (cfg.frames, cfg.num_cells, cfg.mobiles_per_cell)
+        for name in ("scheduled_bits", "delivered_bits", "retransmission",
+                     "infeasible"):
+            assert getattr(result, name).shape == shape, name
         easy = run_drop(small_config(strategy=strat, target_rate_mbps=0.5), 11)
-        assert not easy.retransmission[0].any()
+        for c in range(cfg.num_cells):
+            case = (strat, c)
+            scheduled, delivered, retx = (
+                a[:, c] for a in (result.scheduled_bits, result.delivered_bits,
+                                  result.retransmission))
+            assert np.all(delivered <= scheduled), case
+            # a mobile with delivered >= target is never flagged
+            assert not np.any((delivered >= target) & retx), case
+            # frame 0 transmits at the rates its own all-on SINR carries,
+            # so nothing fails; flags there only mark a full-power shortfall
+            np.testing.assert_array_equal(delivered[0], scheduled[0])
+            np.testing.assert_array_equal(retx[0], scheduled[0] < target)
+            assert not easy.retransmission[0, c].any(), case
+            # every frame's power lies between all-DTX and full load
+            power = result.cell_power_w[:, c]
+            assert np.all((cfg.p_sleep_w * (1.0 - 1e-12) <= power)
+                          & (power <= _full_load_w(cfg) * (1.0 + 1e-12))), case
 
 
 def test_convergence_frame():
@@ -509,13 +521,16 @@ def test_run_experiment_inside_a_pool_worker(monkeypatch):
     _assert_same_summaries(got, run_experiment(cfg, [0.5]))
 
 
-# scripts/drop_digest.py hashes every array of 64 drops' records, the
-# center cell's scheduled and delivered bits included, and counts the work
+# scripts/drop_digest.py hashes every array of 64 drops' records twice,
+# once with cell 0 alone of the arrays that once held only that cell (the
+# digest pinned since then) and once with every cell, and counts the work
 # they took: a change that loses replay or slot reuse fails on the counts
-# even where the digest holds.  The pins hold for Python 3.11.7 with numpy
+# even where the digests hold.  The pins hold for Python 3.11.7 with numpy
 # 2.4.6; another build may round differently.  A change to a pin needs an
 # argument in CHANGES.md.
 DROP_DIGEST = "5b42e389f67fc5435a5760d40cf0dacf698a550b83806efa8a67b07c845856e5"
+DROP_DIGEST_ALL_CELLS = \
+    "620640b496bdedc8738340d0e962d355d9164386ed0e5f184b478e3755738566"
 DROP_WORK = ("28 of 64 drops replayed; 2,100 of 3,200 frames simulated; "
              "13,069 of 32,000 slot SINRs computed")
 
@@ -524,5 +539,5 @@ def test_drop_digest_pinned():
     script = Path(__file__).resolve().parents[1] / "scripts" / "drop_digest.py"
     done = subprocess.run([sys.executable, str(script)], capture_output=True,
                           text=True, check=True)
-    assert done.stdout.strip() == DROP_DIGEST
+    assert done.stdout.split() == [DROP_DIGEST, DROP_DIGEST_ALL_CELLS]
     assert done.stderr.strip() == DROP_WORK

@@ -10,9 +10,15 @@ DT = 1e-3
 
 def test_owner_bits_matches_loop():
     rng = np.random.default_rng(19)
-    for shape in [(6, 4, 3), (3, 5, 2, 4), (1, 1, 1), (2, 3, 4, 1)] * 5:
-        bits = rng.exponential(300.0, size=shape)
-        pi = rng.integers(0, shape[-1] + 1, size=shape[:-1])
+    for shape in [(6, 4, 3), (3, 5, 2, 4), (1, 1, 1), (2, 3, 4, 1),
+                  "strided"] * 5:
+        if shape == "strided":
+            # a view into a larger array, contiguous along no axis
+            bits = rng.exponential(300.0, size=(5, 9, 4, 7))[1::2, ::3, ::-1,
+                                                            1:6:2]
+        else:
+            bits = rng.exponential(300.0, size=shape)
+        pi = rng.integers(0, bits.shape[-1] + 1, size=bits.shape[:-1])
         pi.reshape(-1)[0] = 0                    # one unassigned RB at least
         expect = np.zeros(pi.shape)
         for idx in np.ndindex(pi.shape):

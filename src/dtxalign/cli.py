@@ -129,6 +129,9 @@ def _simulate(args, overrides: dict, rates: str | None = None,
         "seed": args.seed,
     })
     rates = [config.target_rate_mbps] if rates is None else parse_rates(rates)
+    # the largest rate has the largest targets: if it builds, all rates do
+    parse_config(None, {**dataclasses.asdict(config),
+                        "target_rate_mbps": max(rates)})
     if strategies is not None:
         strategies = parse_strategies(strategies)
     _prepare_outdir(args.out)

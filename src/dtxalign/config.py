@@ -109,6 +109,17 @@ class SimConfig:
         # X < -3150 dB (PL >= 73 dB), 31 sigma below the mean at 100 dB
         if not 0 <= self.shadowing_std_db <= 100:
             raise ValueError("shadowing_std_db must lie in [0, 100]")
+        # products the engine forms: each most is past any study and leaves
+        # room for an RB's log2(1 + SINR) <= 1024 and for sums of 2^80 terms
+        for name, value in (
+                ("target bits per frame", self.target_bits_per_frame),
+                ("target_rate_mbps * mobiles_per_cell",
+                 self.target_rate_mbps * self.mobiles_per_cell),
+                ("RB bit scale", self.subcarrier_bw_hz * self.slot_duration_s),
+                ("peak cell power", max(self.p_sleep_w, self.p_idle_w)
+                 + self.load_factor * self.p_rb_w * self.subcarriers)):
+            if not value <= 1e100:
+                raise ValueError(f"{name} must be <= 1e100")
 
     def config_hash(self) -> str:
         """Short stable hash of the resolved configuration."""

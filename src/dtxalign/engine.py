@@ -12,7 +12,7 @@ from dtxalign.channel import build_link_gains, compute_sinr, noise_power
 from dtxalign.config import SimConfig
 from dtxalign.geometry import build_hex_layout, drop_mobiles
 from dtxalign.power import price_cells
-from dtxalign.scheduler import allocate_cells
+from dtxalign.scheduler import allocate_cells, scheduled_rbs
 from dtxalign.strategies import (SlotPriorities, rank_by_capacity,
                                  slot_sum_capacity)
 
@@ -63,12 +63,9 @@ def convergence_frame(trace: np.ndarray, rel_tol: float) -> int:
     """First frame from which the trace stays within rel_tol of its final
     value."""
     trace = np.asarray(trace, dtype=float)
-    final = trace[-1]
-    ok = np.abs(trace - final) <= rel_tol * abs(final)
-    idx = len(trace) - 1
-    while idx > 0 and ok[idx - 1]:
-        idx -= 1
-    return idx
+    ok = np.abs(trace - trace[-1]) <= rel_tol * abs(trace[-1])
+    out = np.flatnonzero(~ok[:-1])      # out of band, before the last frame
+    return int(out[-1]) + 1 if out.size else 0
 
 
 def retransmission_probability(retransmission: np.ndarray,
@@ -167,7 +164,7 @@ def run_drop(config: SimConfig, drop_seed) -> DropResult:
     rates = SlotRates(gains, config)
     rates.update(active)
     bits, b = rates.bits, rates.b
-    at, bins, planned = _plan(pi, bits)
+    at, bins, planned = scheduled_rbs(pi, bits)
     shortfall = np.zeros((n_cells, k_mob), dtype=bool)
     seen, cycle = {}, None
 
@@ -193,7 +190,7 @@ def run_drop(config: SimConfig, drop_seed) -> DropResult:
             break
         pi, shortfall = allocate_cells(priorities, bits, targets)
         # bits still holds this frame's rates: the next frame's estimates
-        at, bins, planned = _plan(pi, bits)
+        at, bins, planned = scheduled_rbs(pi, bits)
         active = pi > 0
         rates.update(active)
 
@@ -209,15 +206,6 @@ def run_drop(config: SimConfig, drop_seed) -> DropResult:
         retransmission=delivered < targets * (1.0 - DELIVERY_RTOL),
         infeasible=infeasible, psi=psi, ranking=ranking, priority=priority,
         cycle=cycle)
-
-
-def _plan(pi: np.ndarray, bits: np.ndarray) -> tuple:
-    """Per scheduled RB of maps pi (C, N, T), in RB order: its flat index in
-    rates (C, N, T, K), bin c K + pi - 1 of its cell c, and its `bits`."""
-    rb, k_mob = np.flatnonzero(pi > 0), bits.shape[-1]
-    mobile = pi.take(rb) - 1
-    at = rb * k_mob + mobile
-    return at, rb // (pi.size // len(pi)) * k_mob + mobile, bits.take(at)
 
 
 def _frame_key(active: np.ndarray, strategy: SlotPriorities) -> tuple | None:

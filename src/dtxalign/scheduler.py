@@ -14,7 +14,7 @@ class ScheduleMap:
 
     pi[n, t] holds 1-based mobile ids, 0 meaning unscheduled.  bits[n, t]
     is the rate scheduled on that RB from the estimate the map was
-    allocated against, owner_bits(est_bits, pi).
+    allocated against, as scheduled_rbs reads it; 0 where unscheduled.
     """
 
     pi: np.ndarray            # (N, T) int in {0..K}
@@ -26,15 +26,13 @@ class ScheduleMap:
         return int((self.pi > 0).sum())
 
 
-def owner_bits(bits: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """The bits each RB carries for the mobile pi assigns it to:
-    bits[..., n, t, pi - 1] where pi > 0 and 0 elsewhere, from bits
-    ([C,] N, T, K) and pi ([C,] N, T)."""
-    # RB i's bits for mobile pi at i K + pi - 1; "clip" keeps -1 in range
-    index = np.arange(pi.size).reshape(pi.shape) * bits.shape[-1] + pi - 1
-    got = np.take(np.ravel(bits), index, mode="clip")
-    got[pi == 0] = 0.0
-    return got
+def scheduled_rbs(pi: np.ndarray, bits: np.ndarray) -> tuple:
+    """Per scheduled RB of maps pi (C, N, T), in RB order: its flat index in
+    rates (C, N, T, K), bin c K + pi - 1 of its cell c, and its `bits`."""
+    rb, k_mob = np.flatnonzero(pi > 0), bits.shape[-1]
+    mobile = pi.take(rb) - 1
+    at = rb * k_mob + mobile
+    return at, rb // (pi.size // len(pi)) * k_mob + mobile, bits.take(at)
 
 
 def allocate_cells(priorities: np.ndarray, est_bits: np.ndarray,
@@ -50,7 +48,7 @@ def allocate_cells(priorities: np.ndarray, est_bits: np.ndarray,
     met are marked infeasible (they keep everything they could grab).
     Cells never interact: row c equals allocate_from_bits of cell c alone.
     Returns the map pi (C, N, T) of 1-based mobile ids, 0 unscheduled,
-    and the flags infeasible (C, K); RB bits are owner_bits(est_bits, pi).
+    and the flags infeasible (C, K), both for scheduled_rbs to read.
     """
     est_bits = np.asarray(est_bits, dtype=float)
     n_cells, n_sub, n_slots, k_mob = est_bits.shape
@@ -66,28 +64,25 @@ def allocate_cells(priorities: np.ndarray, est_bits: np.ndarray,
     shape = grid_pos.shape
     # in consumption order: each RB's mobile, 0 while free
     owner = np.zeros(shape, dtype=int)
-    free = np.ones(shape, dtype=bool)
+    free = np.ones(shape)               # 1.0 while free, 0.0 once taken
     infeasible = np.empty((n_cells, k_mob), dtype=bool)
     # buffers reused for every mobile; prefix[:, j] holds the candidate
     # bits before RB j, prefix[:, -1] all of them
     bk = np.empty(shape)
-    candidate = np.empty(shape, dtype=bool)
     taken = np.empty(shape, dtype=bool)
     prefix = np.zeros((n_cells, shape[1] + 1))
     for k in range(k_mob):
         # mode "clip" writes to out unbuffered; the indices are in range
         np.take(flat[k:], first, out=bk, mode="clip")
-        np.greater(bk, 0.0, out=candidate)
-        candidate &= free
         # exact: bits are finite and >= 0, so x * 1 = x and x * 0 = 0
-        np.multiply(bk, candidate, out=bk)
+        bk *= free
         np.cumsum(bk, axis=1, out=prefix[:, 1:])
         infeasible[:, k] = prefix[:, -1] < targets[k]
-        # a candidate is taken while the bits before it fall short
+        # a candidate (bk > 0) is taken while the bits before it fall short
         np.less(prefix[:, :-1], targets[k], out=taken)
-        taken &= candidate
+        taken &= bk > 0.0
         np.copyto(owner, k + 1, where=taken)
-        free ^= taken
+        free -= taken
     pi = np.empty(shape, dtype=int)
     np.put_along_axis(pi, grid_pos, owner, axis=1)
     return pi.reshape(n_cells, n_sub, n_slots), infeasible
@@ -97,8 +92,10 @@ def allocate_from_bits(priority: tuple, est_bits: np.ndarray,
                        targets: np.ndarray) -> ScheduleMap:
     """Greedy sequential fill of one cell's RB grid: allocate_cells with a
     single cell, priority (T,) and est_bits[n, t, k]."""
-    est_bits = np.asarray(est_bits, dtype=float)
-    pi, infeasible = allocate_cells(np.asarray(priority)[None],
-                                    est_bits[None], targets)
-    return ScheduleMap(pi=pi[0], bits=owner_bits(est_bits, pi[0]),
-                       infeasible=infeasible[0])
+    est_bits = np.asarray(est_bits, dtype=float)[None]
+    pi, infeasible = allocate_cells(np.asarray(priority)[None], est_bits,
+                                    targets)
+    at, _, planned = scheduled_rbs(pi, est_bits)
+    bits = np.zeros(pi.shape[1:])
+    bits.flat[at // est_bits.shape[-1]] = planned
+    return ScheduleMap(pi=pi[0], bits=bits, infeasible=infeasible[0])

@@ -5,6 +5,7 @@ import importlib.util
 import io
 import math
 import os
+import re
 import shlex
 import tempfile
 from pathlib import Path
@@ -80,6 +81,15 @@ def test_parse_config_rejects_invalid_values(tmp_path):
     pytest.param("psi_ll: -1" + "0" * 30, id="psi_ll: -10**30"),
     pytest.param("tiers: 1" + "0" * 30, id="tiers: 10**30"),
     pytest.param("drops: 1" + "0" * 30, id="drops: 10**30"),
+    # valid fields whose products would overflow float64 in a run
+    "target_rate_mbps: 1.0e+308",
+    "p_rb_w: 1.0e+308",
+    "load_factor: 1.0e+308",
+    "p_idle_w: 1.0e+308",
+    "p_sleep_w: 1.0e+308",
+    "slot_duration_s: 1.0e+308",
+    "{slot_duration_s: 1.0e-10, target_rate_mbps: 1.0e+300}",
+    "{slot_duration_s: 1.0e+150, target_rate_mbps: 1.0e-100}",
 ])
 def test_run_rejects_bad_config_value(line, tmp_path, capsys):
     path = tmp_path / "bad.yaml"
@@ -87,7 +97,8 @@ def test_run_rejects_bad_config_value(line, tmp_path, capsys):
     rc = main(["run", "--config", str(path), "--out", str(tmp_path / "res")])
     err = capsys.readouterr().err.splitlines()
     assert rc == 1
-    assert any(ln.startswith("error: invalid configuration") for ln in err)
+    assert len(err) == 1 and err[0].startswith("error: invalid configuration")
+    assert not (tmp_path / "res").exists()
 
 
 def test_config_hash_ignores_how_a_number_is_spelled(tmp_path):
@@ -162,9 +173,9 @@ def boundary_values(name):
             math.inf)
 
 
-def _accepted(name, value):
+def _accepted(name, value, **fixed):
     try:
-        SimConfig(**{**BOUNDARY_YAML, name: value})
+        SimConfig(**{**BOUNDARY_YAML, **fixed, name: value})
     except (TypeError, ValueError):
         return False
     return True
@@ -196,6 +207,50 @@ def test_config_bounds_exact(name):
             [v == inside for v in pair], pair
 
 
+# Each product of fields that SimConfig bounds, probed through one field
+# near a guess of its edge, with other fields fixed where they would
+# bound the field first: (product, field, guess, fixed).
+PRODUCT_EDGES = [
+    ("target bits per frame", "target_rate_mbps", 1e100 / 3e3, {}),
+    ("target_rate_mbps * mobiles_per_cell", "target_rate_mbps", 1e100 / 3,
+     {"slot_duration_s": 1e-10}),
+    ("RB bit scale", "slot_duration_s", 4e93, {"target_rate_mbps": 1e-10}),
+    ("peak cell power", "p_rb_w", 1e100 / 15, {}),
+    ("peak cell power", "p_sleep_w", 1e100, {}),
+]
+
+
+def product_edge(name, guess, fixed):
+    """The config changes that set field `name` to the largest value
+    within 8 floats of guess that builds, and to the next float up."""
+    value = guess
+    for _ in range(8):
+        value = math.nextafter(value, math.inf)
+    for _ in range(17):
+        if _accepted(name, value, **fixed):
+            return ({**fixed, name: value},
+                    {**fixed, name: math.nextafter(value, math.inf)})
+        value = math.nextafter(value, 0.0)
+    raise AssertionError(f"no edge of {name} near {guess}")
+
+
+@pytest.mark.parametrize("product,name,guess,fixed", PRODUCT_EDGES)
+def test_product_bounds_exact(product, name, guess, fixed):
+    """At each product's edge, the next float up of the field fails on
+    that product's rule."""
+    _, outside = product_edge(name, guess, fixed)
+    with pytest.raises(ValueError, match=re.escape(product)):
+        SimConfig(**{**BOUNDARY_YAML, **outside})
+
+
+def at_product_edges(test):
+    """Add both sides of each product edge as explicit examples."""
+    for _, name, guess, fixed in PRODUCT_EDGES:
+        for changes in product_edge(name, guess, fixed):
+            test = example(changes=changes)(test)
+    return test
+
+
 CONFIG_CHANGES = st.lists(st.sampled_from(CONFIG_FIELD_NAMES), min_size=3,
                           max_size=3, unique=True).flatmap(
     lambda names: st.fixed_dictionaries(
@@ -213,6 +268,7 @@ def _power_bounds(cfg):
 @given(changes=CONFIG_CHANGES)
 @example(changes={"p_rb_w": 0.0})
 @example(changes={"frames": 1, "warmup_frames": 0})
+@at_product_edges
 def test_config_boundary(changes):
     """Any config either fails with an `error: invalid configuration` line
     and exit status 1, or runs to results that keep the invariants."""
@@ -340,6 +396,19 @@ def test_repeated_sweep_entry_is_an_error(option, spec, message, small_yaml,
     err = capsys.readouterr().err.splitlines()
     assert rc == 1
     assert err == [f"error: {message}"]
+    assert not out.exists()
+
+
+def test_sweep_rejects_a_rate_the_config_cannot_take(small_yaml, tmp_path,
+                                                     capsys):
+    # SMALL_YAML's frames last 4 ms: 1e99 Mbps is 4e102 bits a frame
+    out = tmp_path / "res"
+    rc = main(["sweep", "--config", small_yaml, "--rates", "1,1e99",
+               "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert err == ["error: invalid configuration: target bits per frame "
+                   "must be <= 1e100"]
     assert not out.exists()
 
 

@@ -2,13 +2,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtxalign.scheduler import allocate_cells, allocate_from_bits, owner_bits
+from dtxalign.scheduler import (allocate_cells, allocate_from_bits,
+                                scheduled_rbs)
 
 BW = 200e3
 DT = 1e-3
 
 
-def test_owner_bits_matches_loop():
+def test_scheduled_rbs_matches_loop():
     rng = np.random.default_rng(19)
     for shape in [(6, 4, 3), (3, 5, 2, 4), (1, 1, 1), (2, 3, 4, 1),
                   "strided"] * 5:
@@ -18,13 +19,20 @@ def test_owner_bits_matches_loop():
                                                             1:6:2]
         else:
             bits = rng.exponential(300.0, size=shape)
-        pi = rng.integers(0, bits.shape[-1] + 1, size=bits.shape[:-1])
+        k_mob = bits.shape[-1]
+        pi = rng.integers(0, k_mob + 1, size=bits.shape[:-1])
         pi.reshape(-1)[0] = 0                    # one unassigned RB at least
-        expect = np.zeros(pi.shape)
-        for idx in np.ndindex(pi.shape):
-            if pi[idx] > 0:
-                expect[idx] = bits[idx + (pi[idx] - 1,)]
-        np.testing.assert_array_equal(owner_bits(bits, pi), expect)
+        for maps in (pi, np.zeros_like(pi)):     # the second schedules none
+            at, bins, got = [], [], []
+            for idx in np.ndindex(maps.shape):   # RB order
+                if maps[idx] > 0:
+                    rb = idx + (maps[idx] - 1,)
+                    at.append(np.ravel_multi_index(rb, bits.shape))
+                    bins.append(idx[0] * k_mob + maps[idx] - 1)
+                    got.append(bits[rb])
+            for want, have in zip((at, bins, got), scheduled_rbs(maps, bits)):
+                assert have.shape == (len(want),)
+                np.testing.assert_array_equal(have, want)
 
 
 def oracle_allocate(priority, est_bits, targets):
@@ -207,7 +215,9 @@ def test_allocate_cells_equals_oracle_per_cell(seed):
     targets[rng.random(k_mob) < 0.2] = 0.0
     priorities = np.array([rng.permutation(n_slots) for _ in range(n_cells)])
     pi, infeasible = allocate_cells(priorities, est, targets)
-    bits = owner_bits(est, pi)
+    at, _, planned = scheduled_rbs(pi, est)
+    bits = np.zeros(pi.shape)
+    bits.flat[at // k_mob] = planned
     assert pi.shape == bits.shape == (n_cells, n_sub, n_slots)
     assert infeasible.shape == (n_cells, k_mob)
     for c in range(n_cells):

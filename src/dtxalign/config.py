@@ -8,6 +8,8 @@ import sys
 from dataclasses import asdict, dataclass, fields
 from numbers import Integral, Real
 
+from dtxalign.channel import noise_power
+
 STRATEGIES = ("sequential", "random", "p_persistent", "memory")
 
 
@@ -110,16 +112,21 @@ class SimConfig:
         if not 0 <= self.shadowing_std_db <= 100:
             raise ValueError("shadowing_std_db must lie in [0, 100]")
         # products the engine forms: each most is past any study and leaves
-        # room for an RB's log2(1 + SINR) <= 1024 and for sums of 2^80 terms
-        for name, value in (
-                ("target bits per frame", self.target_bits_per_frame),
+        # room for an RB's log2(1 + SINR) <= 1024, for sums of 2^80 terms and
+        # for SINR <= ratio x gain (< 1e53 x fading, 6 sigma up, at 35 m)
+        noise = noise_power(self.subcarrier_bw_hz, self.noise_temp_k)
+        for name, value, most in (
+                ("target bits per frame", self.target_bits_per_frame, "1e100"),
                 ("target_rate_mbps * mobiles_per_cell",
-                 self.target_rate_mbps * self.mobiles_per_cell),
-                ("RB bit scale", self.subcarrier_bw_hz * self.slot_duration_s),
+                 self.target_rate_mbps * self.mobiles_per_cell, "1e100"),
+                ("RB bit scale", self.subcarrier_bw_hz * self.slot_duration_s,
+                 "1e100"),
                 ("peak cell power", max(self.p_sleep_w, self.p_idle_w)
-                 + self.load_factor * self.p_rb_w * self.subcarriers)):
-            if not value <= 1e100:
-                raise ValueError(f"{name} must be <= 1e100")
+                 + self.load_factor * self.p_rb_w * self.subcarriers, "1e100"),
+                ("transmit-to-noise ratio per RB",
+                 self.p_rb_w / noise if noise else float("inf"), "1e200")):
+            if not value <= float(most):
+                raise ValueError(f"{name} must be <= {most}")
 
     def config_hash(self) -> str:
         """Short stable hash of the resolved configuration."""

@@ -90,28 +90,23 @@ class SlotRates:
         self.bits = np.empty((n_cells, n_sub, config.slots,
                               gains.mobiles_per_cell))
         self.b = np.empty((n_cells, config.slots))
-        # changed slots go here unless all did: flat, so that any number
-        # of slots is a contiguous view
-        self._scratch = np.empty(self.bits.size)
         self._gains, self._config, self._last = gains, config, None
 
     def update(self, active: np.ndarray) -> np.ndarray:
         """Recompute the slots t whose active[:, :, t] changed since the
         last update (all on the first) and return their indices."""
-        cfg, (n_cells, n_sub, n_slots, k_mob) = self._config, self.bits.shape
+        cfg, n_slots = self._config, self.bits.shape[2]
         stale = np.arange(n_slots) if self._last is None else \
             np.flatnonzero((active != self._last).any(axis=(0, 1)))
         self._last = active.copy()
         if stale.size:
-            shape = (n_cells, n_sub, stale.size, k_mob)
-            fresh = self.bits if stale.size == n_slots else \
-                self._scratch[:np.prod(shape)].reshape(shape)
+            full = stale.size == n_slots    # else a new array, copied back
             n0 = noise_power(cfg.subcarrier_bw_hz, cfg.noise_temp_k)
-            compute_sinr(self._gains, active[:, :, stale], cfg.p_rb_w, n0,
-                         out=fresh)
+            fresh = compute_sinr(self._gains, active[:, :, stale], cfg.p_rb_w,
+                                 n0, out=self.bits if full else None)
             self.b[:, stale] = slot_sum_capacity(fresh, out=fresh)
             fresh *= cfg.subcarrier_bw_hz * cfg.slot_duration_s
-            if fresh is not self.bits:
+            if not full:
                 self.bits[:, :, stale] = fresh
         return stale
 

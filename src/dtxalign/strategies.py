@@ -69,9 +69,6 @@ class SlotPriorities:
         shape = (len(rngs), config.slots)
         self.psi = np.full(shape, config.psi_ll, dtype=int)
         self.prev: np.ndarray | None = None
-        # scores stay in [psi_ll, psi_ul]: a type holding both holds them
-        self._psi_type = np.promote_types(np.min_scalar_type(config.psi_ll),
-                                          np.min_scalar_type(config.psi_ul))
 
     def key(self) -> bytes | None:
         """The scores as exact bytes, or None for random and p_persistent:
@@ -79,7 +76,7 @@ class SlotPriorities:
         never revisits a state, so their state never repeats."""
         if self.config.strategy in ("random", "p_persistent"):
             return None
-        return self.psi.astype(self._psi_type).tobytes()
+        return self.psi.tobytes()
 
     def step(self, b: np.ndarray, used: np.ndarray) -> np.ndarray:
         """Priority rows (C, T) from slot capacities b (C, T) and the slots

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dtxalign import cli, engine
+from dtxalign.channel import BOLTZMANN_J_PER_K
 from dtxalign.cli import (CliError, main, parse_config, parse_rates,
                           parse_strategies, trace_algorithm_steps)
 from dtxalign.config import CONFIG_FIELD_NAMES, STRATEGIES, SimConfig
@@ -90,6 +91,11 @@ def test_parse_config_rejects_invalid_values(tmp_path):
     "slot_duration_s: 1.0e+308",
     "{slot_duration_s: 1.0e-10, target_rate_mbps: 1.0e+300}",
     "{slot_duration_s: 1.0e+150, target_rate_mbps: 1.0e-100}",
+    # the noise power underflows to 0 or is subnormal, or the transmit
+    # power has no peak-power bound: each would make an SINR inf
+    "noise_temp_k: 1.0e-320",
+    "bandwidth_hz: 1.0e-300",
+    "{load_factor: 0.0, p_rb_w: 1.0e+308}",
 ])
 def test_run_rejects_bad_config_value(line, tmp_path, capsys):
     path = tmp_path / "bad.yaml"
@@ -217,27 +223,33 @@ PRODUCT_EDGES = [
     ("RB bit scale", "slot_duration_s", 4e93, {"target_rate_mbps": 1e-10}),
     ("peak cell power", "p_rb_w", 1e100 / 15, {}),
     ("peak cell power", "p_sleep_w", 1e100, {}),
+    # smaller noise temperatures fail: 0.8 W over k_B T (10 MHz / 4)
+    ("transmit-to-noise ratio per RB", "noise_temp_k",
+     0.8 / 1e200 / (BOLTZMANN_J_PER_K * 2.5e6), {}),
 ]
 
 
 def product_edge(name, guess, fixed):
-    """The config changes that set field `name` to the largest value
-    within 8 floats of guess that builds, and to the next float up."""
-    value = guess
+    """The config changes that set field `name` to the value within 8
+    floats of guess that builds beside one that fails, and to that
+    neighbour, whichever side of the edge fails."""
+    values = [guess]
     for _ in range(8):
-        value = math.nextafter(value, math.inf)
-    for _ in range(17):
-        if _accepted(name, value, **fixed):
-            return ({**fixed, name: value},
-                    {**fixed, name: math.nextafter(value, math.inf)})
-        value = math.nextafter(value, 0.0)
+        values = [math.nextafter(values[0], 0.0), *values,
+                  math.nextafter(values[-1], math.inf)]
+    built = [_accepted(name, v, **fixed) for v in values]
+    for i in range(len(values) - 1):
+        if built[i] != built[i + 1]:
+            inside, outside = (values[i], values[i + 1]) if built[i] \
+                else (values[i + 1], values[i])
+            return {**fixed, name: inside}, {**fixed, name: outside}
     raise AssertionError(f"no edge of {name} near {guess}")
 
 
 @pytest.mark.parametrize("product,name,guess,fixed", PRODUCT_EDGES)
 def test_product_bounds_exact(product, name, guess, fixed):
-    """At each product's edge, the next float up of the field fails on
-    that product's rule."""
+    """At each product's edge, the next float of the field on the failing
+    side fails on that product's rule."""
     _, outside = product_edge(name, guess, fixed)
     with pytest.raises(ValueError, match=re.escape(product)):
         SimConfig(**{**BOUNDARY_YAML, **outside})
@@ -410,6 +422,30 @@ def test_sweep_rejects_a_rate_the_config_cannot_take(small_yaml, tmp_path,
     assert err == ["error: invalid configuration: target bits per frame "
                    "must be <= 1e100"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+@pytest.mark.parametrize("command", ["run", "sweep", "trace-algorithm"])
+def test_unwritable_outdir_is_an_error_line(command, below, small_yaml,
+                                            tmp_path, capsys, monkeypatch):
+    # an --out that is a regular file, or a path below one, cannot be made
+    # a directory (whatever the user's permissions)
+    simulated = []
+    monkeypatch.setattr(cli, "run_experiment",
+                        lambda *a: simulated.append(a) or [])
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker / "res" if below else blocker
+    args = [command, "--out", str(out)]
+    if command != "trace-algorithm":
+        args += ["--config", small_yaml]
+    rc = main(args)
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(err) == 1 and \
+        err[0].startswith("error: output directory not writable")
+    assert simulated == []
+    assert blocker.read_text() == ""
 
 
 def read_lines(path):
